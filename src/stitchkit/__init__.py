@@ -32,6 +32,7 @@ from .evaluate import (
     ensemble_predict,
     ensemble_sweep,
     evaluate,
+    evaluate_many,
     read_evals_csv,
     select_ensemble_pool,
     write_evals_csv,

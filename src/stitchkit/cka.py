@@ -125,7 +125,13 @@ def cka_linear(x, y):
         raise DegenerateActivationsError(
             f"constant activations (fragments {x.fragment_id!r}, {y.fragment_id!r})"
         )
-    return float(num / np.sqrt(kk * mm))
+    return _ratio(num, kk, mm)
+
+
+def _ratio(num, kk, mm):
+    # rounding can carry the ratio a few ulps past 1 (self-CKA gives
+    # 1.0000000000000002); the value is clamped into its range
+    return float(min(max(num / np.sqrt(kk * mm), 0.0), 1.0))
 
 
 def cka_minibatch(x_batches, y_batches):
@@ -133,7 +139,7 @@ def cka_minibatch(x_batches, y_batches):
 
     The numerator and both denominator HSIC terms are averaged over matched
     batches before forming the ratio; a single batch reproduces cka_linear
-    bit-for-bit.
+    bit-for-bit, clamped into [0, 1] the same way.
     """
     xs = [_coerce(b) for b in x_batches]
     ys = [_coerce(b) for b in y_batches]
@@ -156,4 +162,4 @@ def cka_minibatch(x_batches, y_batches):
     mm = np.mean(mms)
     if kk <= 0.0 or mm <= 0.0:
         raise DegenerateActivationsError("constant activations in every batch")
-    return float(np.mean(nums) / np.sqrt(kk * mm))
+    return _ratio(np.mean(nums), kk, mm)

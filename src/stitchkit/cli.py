@@ -19,7 +19,7 @@ from .errors import ConfigError, DimensionError, NumericError, ParseError, Stitc
 from .evaluate import (
     emit_report,
     ensemble_sweep,
-    evaluate,
+    evaluate_many,
     select_ensemble_pool,
     write_csv,
     write_evals_csv,
@@ -72,19 +72,23 @@ def _label_map(args, dataset):
     return None
 
 
-def _load_results_dir(path):
-    """Reload a generate() output directory into a GenerationResult."""
-    path = Path(path)
-    csv = path / "results.csv"
+def _results_rows(path):
+    """(stitched net id, score) rows of a generate() output directory."""
+    csv = Path(path) / "results.csv"
     if not csv.exists():
         raise ParseError(f"no results.csv under {path}")
-    entries = []
+    rows = []
     for line in csv.read_text(encoding="ascii").splitlines()[1:]:
         if not line:
             continue
         sn_id, score = line.split(",")[:2]
-        sn = load_network(path / f"{sn_id}.snet")
-        entries.append((sn, float(score)))
+        rows.append((sn_id, float(score)))
+    return rows
+
+
+def _load_results_dir(path):
+    """Reload a generate() output directory into a GenerationResult."""
+    entries = [(load_network(Path(path) / f"{sn_id}.snet"), score) for sn_id, score in _results_rows(path)]
     entries.sort(key=lambda t: -t[1])
     return GenerationResult(entries=entries, stats=GenerationStats())
 
@@ -210,7 +214,7 @@ def cmd_evaluate(args):
             models.append(load_network(p))
     if not models:
         raise ParseError(f"no models found in {args.models}")
-    evals = [evaluate(m, dataset, lm) for m in models]
+    evals = evaluate_many(models, dataset, lm)
     write_evals_csv(evals, args.out)
     for r in evals:
         print(f"{r.model_id}: accuracy={r.accuracy:.4f} params={r.n_params}")
@@ -219,10 +223,11 @@ def cmd_evaluate(args):
 
 
 def cmd_ensemble(args):
-    result = _load_results_dir(args.results)
+    # pick from results.csv first: only the ensembled nets are loaded
+    picked_ids = select_ensemble_pool(_results_rows(args.results), cka_min=args.cka_min, k=args.k)
+    picked = [load_network(Path(args.results) / f"{sn_id}.snet") for sn_id in picked_ids]
     dataset = load_dataset(args.data)
     lm = _label_map(args, dataset)
-    picked = select_ensemble_pool(result, cka_min=args.cka_min, k=args.k)
     if not picked:
         print("no stitched nets above the score threshold; nothing to ensemble")
         write_csv(Path(args.out), ["ensemble_size", "accuracy"], [])
@@ -239,7 +244,7 @@ def cmd_report(args):
     result = _load_results_dir(args.results)
     dataset = load_dataset(args.data)
     lm = _label_map(args, dataset)
-    evals = [evaluate(sn, dataset, lm) for sn, _ in result.entries]
+    evals = evaluate_many([sn for sn, _ in result.entries], dataset, lm)
     sweep = None
     if args.ensemble_k:
         picked = select_ensemble_pool(result, cka_min=args.cka_min, k=args.ensemble_k)
@@ -284,9 +289,9 @@ def cmd_demo(args):
 
     print("[4/6] evaluating on the superclass subtask")
     lm = superclass_label_map(args.classes, 2)
-    evals = [evaluate(sn, ds.test, lm) for sn, _ in result.entries]
-    zoo_evals = [evaluate(n, ds.test, lm) for n in nets]
-    write_evals_csv(evals + zoo_evals, out / "evals.csv")
+    all_evals = evaluate_many([sn for sn, _ in result.entries] + nets, ds.test, lm)
+    evals, zoo_evals = all_evals[: len(result.entries)], all_evals[len(result.entries) :]
+    write_evals_csv(all_evals, out / "evals.csv")
 
     print("[5/6] fine-tuning baselines (accuracy vs samples)")
     sub_train = remap_dataset(ds.train, lm)

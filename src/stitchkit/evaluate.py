@@ -1,5 +1,12 @@
 """Accuracy evaluation, probability-averaging ensembles, and CSV reports.
 
+Models are forwarded together, batch by batch, through the prefix tree of
+their layer chains (network.PrefixTree). Nets from one search share their
+early fragments, so each shared prefix runs once per batch instead of once
+per net. Layers merge only when kind, name, hyperparameters and the exact
+bytes of every parameter agree, so every probability is bit-identical to
+forwarding that model alone under the same batching.
+
 Argmax ties break to the lowest class index everywhere. Report files are
 plain CSV (comma separators, '.' decimals, LF endings) with byte-stable
 output for identical inputs; floats are written with repr so parsing them
@@ -15,8 +22,7 @@ import numpy as np
 
 from .data import apply_label_map
 from .errors import ConfigError, DimensionError
-from .network import forward
-from .tensor_ops import as_tensor
+from .network import PrefixTree
 
 
 @dataclass
@@ -32,29 +38,43 @@ class EvalReport:
     provenance: str = ""
 
 
-def _batched_probs(model, images, label_map=None, batch_size=256):
-    outs = []
+def _mapped(probs, label_map):
+    return probs if label_map is None else apply_label_map(probs, label_map)
+
+
+def _batched_probs(models, images, label_map=None, batch_size=256):
+    """Each model's (label-mapped) probabilities on images, in model order."""
+    tree = PrefixTree(models)
+    parts = [[] for _ in models]
     for start in range(0, images.shape[0], batch_size):
-        probs = forward(model, images[start : start + batch_size])
-        if label_map is not None:
-            probs = apply_label_map(probs, label_map)
-        outs.append(probs)
-    return np.concatenate(outs, axis=0)
+        for part, probs in zip(parts, tree.forward(images[start : start + batch_size])):
+            part.append(_mapped(probs, label_map))
+    return [np.concatenate(part, axis=0) for part in parts]
 
 
-def evaluate(model, dataset, label_map=None, batch_size=256, allow_train_split=False):
-    """Accuracy of a model on a labeled dataset, optionally label-mapped.
+def evaluate_many(models, dataset, label_map=None, batch_size=256, allow_train_split=False):
+    """Accuracy of each model on a labeled dataset, optionally label-mapped.
 
     With a label map, model probabilities are grouped into target classes
     and dataset labels mapped the same way. Evaluation on the train split is
     refused unless allow_train_split (scores must come from unseen samples).
+    Returns one EvalReport per model, in order.
     """
     if dataset.split == "train" and not allow_train_split:
         raise ConfigError("refusing to evaluate on the train split (pass allow_train_split=True)")
     if len(dataset) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
-    probs = _batched_probs(model, dataset.images, label_map, batch_size)
+    all_probs = _batched_probs(models, dataset.images, label_map, batch_size)
     labels = dataset.labels if label_map is None else label_map.map_labels(dataset.labels)
+    return [_report(model, probs, labels) for model, probs in zip(models, all_probs)]
+
+
+def evaluate(model, dataset, label_map=None, batch_size=256, allow_train_split=False):
+    """evaluate_many for a single model."""
+    return evaluate_many([model], dataset, label_map, batch_size, allow_train_split)[0]
+
+
+def _report(model, probs, labels):
     if labels.max(initial=0) >= probs.shape[1]:
         raise ConfigError(
             f"labels reach {labels.max()} but model emits {probs.shape[1]} classes"
@@ -87,13 +107,10 @@ def ensemble_predict(models, batch, label_map=None):
     """
     if not models:
         raise ConfigError("ensemble needs at least one model")
-    batch = as_tensor(batch, "batch")
     probs = None
     width = None
-    for model in models:
-        p = forward(model, batch)
-        if label_map is not None:
-            p = apply_label_map(p, label_map)
+    for model, p in zip(models, PrefixTree(models).forward(batch)):
+        p = _mapped(p, label_map)
         if width is None:
             width = p.shape[1]
             probs = np.zeros_like(p)
@@ -107,9 +124,15 @@ def ensemble_predict(models, batch, label_map=None):
 
 
 def select_ensemble_pool(result, cka_min=0.8, k=10):
-    """Highest-scoring stitched nets with score strictly above cka_min."""
-    picked = [(sn, s) for sn, s in result.entries if s > cka_min]
-    picked.sort(key=lambda t: (-t[1], t[0].id))
+    """Highest-scoring stitched nets with score strictly above cka_min.
+
+    `result` is a GenerationResult or a list of (net, score) entries; a net
+    may also be given as its id string, as read back from results.csv.
+    Ties on score break on id.
+    """
+    entries = getattr(result, "entries", result)
+    picked = [(sn, s) for sn, s in entries if s > cka_min]
+    picked.sort(key=lambda t: (-t[1], getattr(t[0], "id", t[0])))
     return [sn for sn, _ in picked[:k]]
 
 
@@ -118,8 +141,7 @@ def ensemble_sweep(models, dataset, label_map=None, batch_size=256):
     labels = dataset.labels if label_map is None else label_map.map_labels(dataset.labels)
     rows = []
     summed = None
-    for size, model in enumerate(models, start=1):
-        p = _batched_probs(model, dataset.images, label_map, batch_size)
+    for size, p in enumerate(_batched_probs(models, dataset.images, label_map, batch_size), start=1):
         summed = p if summed is None else summed + p
         preds = np.argmax(summed / size, axis=1)
         rows.append((size, float((preds == labels).mean())))

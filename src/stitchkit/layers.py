@@ -129,7 +129,8 @@ class Conv2d(Layer):
     def in_channels(self):
         return self.weight.shape[1]
 
-    def forward(self, x):
+    def _cols(self, x):
+        """im2col patches of a checked input, and the NCHW output shape."""
         x = as_tensor(x, "input")
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise DimensionError(
@@ -137,22 +138,23 @@ class Conv2d(Layer):
             )
         o, c, kh, kw = self.weight.shape
         cols, (ho, wo) = im2col(x, kh, kw, self.stride, self.padding)
-        out = cols @ self.weight.reshape(o, -1).T + self.bias
-        return np.ascontiguousarray(
-            out.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2)
-        )
+        return cols, (x.shape[0], o, ho, wo)
+
+    def _nchw(self, out, shape):
+        out += self.bias  # in place: same values as out + bias, no extra copy
+        n, o, ho, wo = shape
+        return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+
+    def forward(self, x):
+        cols, shape = self._cols(x)
+        out = cols @ self.weight.reshape(self.out_channels, -1).T
+        del cols  # the patch matrix is the largest temporary; free it first
+        return self._nchw(out, shape)
 
     def forward_cache(self, x):
-        x = as_tensor(x, "input")
-        if x.ndim != 4 or x.shape[1] != self.in_channels:
-            raise DimensionError(
-                f"expected [N, {self.in_channels}, H, W] input, got {x.shape}"
-            )
-        o, c, kh, kw = self.weight.shape
-        cols, (ho, wo) = im2col(x, kh, kw, self.stride, self.padding)
-        out = cols @ self.weight.reshape(o, -1).T + self.bias
-        out = np.ascontiguousarray(out.reshape(x.shape[0], ho, wo, o).transpose(0, 3, 1, 2))
-        return out, (cols, x.shape)
+        cols, shape = self._cols(x)
+        out = self._nchw(cols @ self.weight.reshape(self.out_channels, -1).T, shape)
+        return out, (cols, np.shape(x))
 
     def backward(self, grad, cache):
         cols, x_shape = cache

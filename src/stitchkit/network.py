@@ -115,18 +115,26 @@ class Fragment:
         return sum(l.n_params for l in self.layers)
 
 
+def _chain(model):
+    return getattr(model, "chain", None) or model.layers
+
+
+def _run(layer, x, i):
+    """layer.forward(x), with shape errors naming the layer's chain index."""
+    try:
+        return layer.forward(x)
+    except DimensionError as e:
+        raise DimensionError(f"layer {i} '{layer.name}': {e}") from e
+
+
 def forward(model, batch):
     """Run a batch through a Network, Fragment, or any object with .layers.
 
     Layer-by-layer, deterministic; shape errors name the offending layer.
     """
-    chain = getattr(model, "chain", None) or model.layers
     x = as_tensor(batch, "batch")
-    for i, layer in enumerate(chain):
-        try:
-            x = layer.forward(x)
-        except DimensionError as e:
-            raise DimensionError(f"layer {i} '{layer.name}': {e}") from e
+    for i, layer in enumerate(_chain(model)):
+        x = _run(layer, x, i)
     return x
 
 
@@ -144,11 +152,88 @@ def forward_upto(network, layer_index, batch):
         )
     x = as_tensor(batch, "batch")
     for i, layer in enumerate(network.layers[:layer_index]):
-        try:
-            x = layer.forward(x)
-        except DimensionError as e:
-            raise DimensionError(f"layer {i} '{layer.name}': {e}") from e
+        x = _run(layer, x, i)
     return x
+
+
+_HYPERPARAMS = ("stride", "padding", "k", "target_h", "target_w")
+
+
+def _layer_key(layer):
+    """Equal keys mean the same function: kind, name, hyperparameters and
+    the exact bytes of every parameter. Objects without params() (stand-ins
+    that are not Layers) get a key equal to nothing else.
+    """
+    if not hasattr(layer, "params"):
+        return object()
+    params = tuple(
+        (name, arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in sorted(layer.params().items())
+    )
+    hyper = tuple(getattr(layer, attr, None) for attr in _HYPERPARAMS)
+    return (layer.kind, layer.name, hyper, params)
+
+
+class _Node:
+    """A run of layers shared by every model below it (a radix-tree edge)."""
+
+    __slots__ = ("layers", "depth", "children", "ends")
+
+    def __init__(self, depth, layers):
+        self.layers = layers
+        self.depth = depth  # chain index of layers[0]
+        self.children = {}  # first layer's key -> child; a list once built
+        self.ends = []  # indices of the models whose chain ends after this run
+
+
+class PrefixTree:
+    """The layer chains of several models, merged on equal prefixes.
+
+    forward(batch) runs each shared prefix once and gives every model's
+    output, bit-identical to forward(model, batch): a merged layer is the
+    same function on the same input. Layers merge only when _layer_key
+    agrees; provenance, hashes and object identity play no part, so nets
+    loaded from separate files share their prefixes too.
+    """
+
+    def __init__(self, models):
+        self.n_models = len(models)
+        self.root = _Node(0, [])
+        for j, model in enumerate(models):
+            node = self.root
+            for i, layer in enumerate(_chain(model)):
+                key = _layer_key(layer)
+                child = node.children.get(key)
+                if child is None:
+                    child = node.children[key] = _Node(i, [layer])
+                node = child
+            node.ends.append(j)
+        stack = [self.root]
+        while stack:  # fold single-child runs into one edge, drop the keys
+            node = stack.pop()
+            while len(node.children) == 1 and not node.ends:
+                (child,) = node.children.values()
+                node.layers += child.layers
+                node.children, node.ends = child.children, child.ends
+            node.children = list(node.children.values())
+            stack.extend(node.children)
+
+    def forward(self, batch):
+        """Outputs of every model on one batch, in model order.
+
+        Depth-first: an activation is held only at a branch point, by the
+        children still to run; the last child's first layer releases it.
+        """
+        outs = [None] * self.n_models
+        pending = [(self.root, as_tensor(batch, "batch"))]
+        while pending:
+            node, x = pending.pop()
+            for i, layer in enumerate(node.layers, start=node.depth):
+                x = _run(layer, x, i)
+            for j in node.ends:
+                outs[j] = x
+            pending.extend((child, x) for child in reversed(node.children))
+            del x
+        return outs
 
 
 def fragmentize(network, fine=False):
@@ -239,22 +324,9 @@ def build_pool(networks, fine=False):
 
 def models_equal(a, b):
     """Structural plus bitwise weight equality of two layer chains."""
-    ca = getattr(a, "chain", None) or a.layers
-    cb = getattr(b, "chain", None) or b.layers
-    if len(ca) != len(cb):
+    ca, cb = _chain(a), _chain(b)
+    if len(ca) != len(cb) or any(_layer_key(la) != _layer_key(lb) for la, lb in zip(ca, cb)):
         return False
-    for la, lb in zip(ca, cb):
-        if la.kind != lb.kind or la.name != lb.name:
-            return False
-        pa, pb = la.params(), lb.params()
-        if set(pa) != set(pb):
-            return False
-        for k in pa:
-            if pa[k].shape != pb[k].shape or pa[k].tobytes() != pb[k].tobytes():
-                return False
-        for attr in ("stride", "padding", "k", "target_h", "target_w"):
-            if getattr(la, attr, None) != getattr(lb, attr, None):
-                return False
     if isinstance(a, Network) and isinstance(b, Network):
         if (a.input_shape, a.class_labels, a.id) != (b.input_shape, b.class_labels, b.id):
             return False

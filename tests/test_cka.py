@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stitchkit.cka import ActivationMatrix, cka_linear, cka_minibatch, flatten_activations, hsic
+from stitchkit.cka import (
+    ActivationMatrix,
+    _hsic_terms,
+    cka_linear,
+    cka_minibatch,
+    flatten_activations,
+    hsic,
+)
 from stitchkit.errors import DegenerateActivationsError, DimensionError
 
 
@@ -207,3 +214,24 @@ class TestActivationMatrix:
     def test_requires_two_samples(self):
         with pytest.raises(DimensionError):
             ActivationMatrix(np.ones((3, 1)))
+
+
+class TestUnitRange:
+    """Rounding used to carry identical inputs a few ulps past 1."""
+
+    @pytest.mark.parametrize("seed", [1, 3, 9, 11, 13])
+    def test_self_cka_is_exactly_one(self, seed):
+        # more than 256 samples: the feature-space form of the HSIC terms
+        x = np.random.default_rng(seed).standard_normal((6, 300))
+        num, kk, mm = _hsic_terms(ActivationMatrix(x), ActivationMatrix(x))
+        assert num / np.sqrt(kk * mm) > 1.0  # the unclamped ratio
+        assert cka_linear(x, x) == 1.0
+
+    def test_minibatch_scaled_copy_is_exactly_one(self):
+        rng = np.random.default_rng(4)
+        xs = [rng.normal(size=(5, 8)) for _ in range(3)]
+        ys = [3.0 * x for x in xs]
+        terms = [(hsic(x.T @ x, y.T @ y), hsic(x.T @ x, x.T @ x), hsic(y.T @ y, y.T @ y)) for x, y in zip(xs, ys)]
+        num, kk, mm = (np.mean(t) for t in zip(*terms))
+        assert num / np.sqrt(kk * mm) > 1.0  # the unclamped ratio
+        assert cka_minibatch(xs, ys) == 1.0

@@ -178,6 +178,34 @@ class TestEvaluateEnsembleReport:
         assert rc == 0
         assert len(out.read_text().splitlines()) == 4  # header + 3 nets
 
+    def test_ensemble_loads_only_the_picked_nets(self, tmp_path, small_pipeline, monkeypatch):
+        data_dir, zoo, manifest = small_pipeline
+        gen = tmp_path / "gen_k"
+        run_cli(
+            "generate", "--pool", str(manifest), "--data", str(data_dir / "train.sdat"),
+            "--out", str(gen), "-T", "0.0",
+        )
+        n_nets = len(list(gen.glob("sn*.snet")))
+        assert n_nets > 2
+        common = ["--results", str(gen), "--data", str(data_dir / "test.sdat"), "--cka-min", "0.0"]
+        report = tmp_path / "report_k"
+        assert run_cli("report", *common, "--ensemble-k", "2", "--out", str(report)) == 0
+
+        import stitchkit.cli as cli
+
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(path)
+            return load_network(path)
+
+        monkeypatch.setattr(cli, "load_network", counting_load)
+        sweep = tmp_path / "sweep_k.csv"
+        assert run_cli("ensemble", *common, "-k", "2", "--out", str(sweep)) == 0
+        assert 0 < len(loaded) <= 2
+        # the same pick and rows as report, which loads every net first
+        assert sweep.read_bytes() == (report / "ensemble_sweep.csv").read_bytes()
+
     def test_report_on_empty_results_header_only(self, tmp_path, small_pipeline):
         data_dir, zoo, manifest = small_pipeline
         gen = tmp_path / "gen_empty2"

@@ -42,7 +42,6 @@ from .generate import (
     GenerationResult,
     GenerationStats,
     generate,
-    generate_with_inference,
     select_candidates,
 )
 from .layers import (

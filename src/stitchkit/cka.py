@@ -60,16 +60,21 @@ def _center_gram(g):
     return g - row - col + g.mean()
 
 
+def _checked_gram(gram, name):
+    """A finite, square Gram matrix that is symmetric within tolerance."""
+    g = as_tensor(gram, name)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimensionError(f"{name} must be square, got {g.shape}")
+    tol = 1e-9 * max(1.0, float(np.abs(g).max()))
+    if np.abs(g - g.T).max() > tol:
+        raise DimensionError(f"{name} is not symmetric within tolerance")
+    return g
+
+
 def hsic(k_gram, m_gram):
     """tr(K H M H) / (n-1)^2 for symmetric n x n Gram matrices."""
-    k = as_tensor(k_gram, "K")
-    m = as_tensor(m_gram, "M")
-    for g, nm in ((k, "K"), (m, "M")):
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DimensionError(f"{nm} must be square, got {g.shape}")
-        tol = 1e-9 * max(1.0, float(np.abs(g).max()))
-        if np.abs(g - g.T).max() > tol:
-            raise DimensionError(f"{nm} is not symmetric within tolerance")
+    k = _checked_gram(k_gram, "K")
+    m = _checked_gram(m_gram, "M")
     if k.shape != m.shape:
         raise DimensionError(f"Gram sizes differ: {k.shape} vs {m.shape}")
     n = k.shape[0]
@@ -126,6 +131,61 @@ def cka_linear(x, y):
             f"constant activations (fragments {x.fragment_id!r}, {y.fragment_id!r})"
         )
     return _ratio(num, kk, mm)
+
+
+@dataclass(frozen=True)
+class CkaSide:
+    """One operand of a linear CKA, reduced to what every pairing reuses.
+
+    centred is the centred n x n Gram for n <= _GRAM_SAMPLE_LIMIT, else
+    the centred features-by-samples matrix; self_hsic is the operand's
+    HSIC with itself.
+    """
+
+    centred: np.ndarray
+    self_hsic: float
+    n_samples: int
+    fragment_id: str = ""
+
+    @property
+    def is_gram(self):
+        return self.n_samples <= _GRAM_SAMPLE_LIMIT
+
+
+def cka_side(x):
+    """Centre one operand and take its self-HSIC, once for many pairings.
+
+    Uses cka_linear's arithmetic term for term, so cka_from_sides on two
+    sides equals cka_linear on the two operands bit for bit. The Gram form
+    gets hsic's checks (finite, square, symmetric) here, once.
+    """
+    x = _coerce(x)
+    n = x.n_samples
+    scale = (n - 1) ** 2
+    if n <= _GRAM_SAMPLE_LIMIT:
+        centred = _center_gram(_checked_gram(x.values.T @ x.values, "Gram"))
+        self_hsic = float((centred * centred).sum() / scale)
+    else:
+        centred = x.values - x.values.mean(axis=1, keepdims=True)
+        cov = centred @ centred.T
+        self_hsic = float((cov * cov).sum() / scale)
+    return CkaSide(centred, self_hsic, n, x.fragment_id)
+
+
+def cka_from_sides(x, y):
+    """cka_linear of the operands behind two CkaSides; costs one cross term."""
+    if x.n_samples != y.n_samples:
+        raise DimensionError(f"sample counts differ: {x.n_samples} vs {y.n_samples}")
+    if x.self_hsic <= 0.0 or y.self_hsic <= 0.0:
+        raise DegenerateActivationsError(
+            f"constant activations (fragments {x.fragment_id!r}, {y.fragment_id!r})"
+        )
+    if x.is_gram:
+        cross = x.centred * y.centred
+    else:
+        cross = x.centred @ y.centred.T
+        cross = cross * cross
+    return _ratio(float(cross.sum() / (x.n_samples - 1) ** 2), x.self_hsic, y.self_hsic)
 
 
 def _ratio(num, kk, mm):

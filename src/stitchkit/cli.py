@@ -190,9 +190,7 @@ def cmd_generate(args):
         seed=_seed(args.seed),
         ridge=_ridge(args.ridge),
     )
-    result = generate(
-        pool, dataset, cfg, with_inference=args.with_inference, threads=args.threads
-    )
+    result = generate(pool, dataset, cfg, with_inference=args.with_inference)
     _write_generation_outputs(result, args.out)
     print(
         f"generated {len(result.entries)} stitched nets "
@@ -283,7 +281,7 @@ def cmd_demo(args):
     cfg = GenerationConfig(
         span_k=args.K, threshold=args.T, max_fragments=args.L, samples_m=args.M, seed=seed
     )
-    result = generate(pool, ds.train, cfg, threads=args.threads)
+    result = generate(pool, ds.train, cfg)
     _write_generation_outputs(result, out / "generated")
     print(f"    {len(result.entries)} stitched nets")
 
@@ -393,7 +391,6 @@ def build_parser():
     p.add_argument("--starting-ids", default="", help="comma-separated starting fragment/network ids")
     p.add_argument("--ridge", default="auto", help="projection ridge: 'auto' or a float")
     p.add_argument("--seed", type=int, default=7, help="target-sample selection seed")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for independent branches")
     p.add_argument(
         "--with-inference",
         action="store_true",
@@ -455,7 +452,6 @@ def build_parser():
     p.add_argument("--finetune-budget", type=int, default=6400, help="baseline sample budget")
     p.add_argument("--ensemble-k", type=int, default=10, help="ensemble sweep size")
     p.add_argument("--cka-min", type=float, default=0.8, help="ensemble score threshold")
-    p.add_argument("--threads", type=int, default=1, help="worker cap for independent branches")
     p.add_argument("--seed", type=int, default=7, help="global seed")
     p.set_defaults(func=cmd_demo)
     return parser

@@ -5,23 +5,32 @@ node the span-K best candidate fragments are examined, each joint scored by
 CKA between the chain's output and the candidate's native input on the M
 target samples. A joint is accepted iff the running score product stays
 above the threshold; terminating fragments emit completed networks. The
-search is deterministic given pool, dataset, and config, and its observable
-output is independent of how branches are scheduled.
+search is deterministic given pool, dataset, and config.
+
+A joint's CKA splits into a side per operand (cka.cka_side) and one cross
+term. The native side of a candidate is fixed for the run and the chain
+side for every candidate at a node, so each is computed once; native
+inputs come from one forward pass per source network.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cka import cka_linear
+from .cka import cka_from_sides, cka_side
 from .errors import ConfigError, DegenerateActivationsError, UnsupportedJointError
-from .network import forward, forward_upto
-from .stitching import joint_kind, prepare_joint, start_stitchnet, stitch
+from .network import forward, forward_taps
+from .stitching import (
+    chain_operand,
+    joint_kind,
+    native_operand,
+    start_stitchnet,
+    stitch,
+)
 
 STRATEGIES = ("top_cka", "fewest_params")
 
@@ -59,13 +68,6 @@ class GenerationStats:
     samples_processed: int = 0
     wall_time: float = 0.0
 
-    def merge(self, other):
-        self.candidates_evaluated += other.candidates_evaluated
-        self.joints_rejected += other.joints_rejected
-        self.cka_computations += other.cka_computations
-        self.stitchnets_emitted += other.stitchnets_emitted
-        self.samples_processed += other.samples_processed
-
 
 @dataclass
 class GenerationResult:
@@ -96,31 +98,50 @@ class _Search:
         self.batch = batch
         self.cfg = cfg
         self.with_inference = with_inference
-        self.native_inputs = {}  # fragment id -> forward_upto activations, pure per run
+        self.stats = GenerationStats()
+        # (net, score, outputs, joints evaluated so far) per emitted net
+        self.emitted = []
+        # per-run caches, pure functions of (pool, batch)
+        self.native_inputs = {}  # (net id, start layer) -> forward_upto activation
+        # (net id, start layer) -> CkaSide; the fragment's first layer fixes
+        # the native operand, which linear and conv-to-linear joints share
+        self.native_sides = {}
         self.candidates = sorted(
             (f for f in pool.fragments if not f.is_starting and f.kind != "degenerate"),
             key=lambda f: f.id,
         )
 
     def native_input(self, frag):
-        y = self.native_inputs.get(frag.id)
-        if y is None:
-            y = forward_upto(self.pool.network(frag.source_network_id), frag.start_layer, self.batch)
-            self.native_inputs[frag.id] = y
-        return y
+        net_id = frag.source_network_id
+        key = (net_id, frag.start_layer)
+        if key not in self.native_inputs:
+            # one pass captures the native input of every candidate of this net
+            starts = [f.start_layer for f in self.candidates if f.source_network_id == net_id]
+            taps = forward_taps(self.pool.network(net_id), starts, self.batch)
+            self.native_inputs.update(((net_id, start), y) for start, y in taps.items())
+        return self.native_inputs[key]
 
-    def _score_joint(self, frag, x_q, kind, stats):
+    def _score_joint(self, frag, x_q, kind, chain_sides):
         y_raw = self.native_input(frag)
-        x_mat, y_mat = prepare_joint(x_q, y_raw, kind)
-        stats.cka_computations += 1
+        # the chain operand depends on the candidate only through the joint
+        # kind and (conv joints resize to it) the native spatial size
+        chain_key = (kind, y_raw.shape[2:])
+        x_side = chain_sides.get(chain_key)
+        if x_side is None:
+            x_side = chain_sides[chain_key] = cka_side(chain_operand(x_q, kind, y_raw.shape))
+        native_key = (frag.source_network_id, frag.start_layer)
+        y_side = self.native_sides.get(native_key)
+        if y_side is None:
+            y_side = self.native_sides[native_key] = cka_side(native_operand(y_raw, kind))
+        self.stats.cka_computations += 1
         try:
-            score = cka_linear(x_mat, y_mat)
+            score = cka_from_sides(x_side, y_side)
         except DegenerateActivationsError as e:
             warnings.warn(f"degenerate joint activations, scoring 0: {e}")
             score = 0.0
         return score, y_raw
 
-    def rank_candidates(self, q, x_q, stats):
+    def rank_candidates(self, q, x_q):
         """Pick the span-K candidates for node q under the strategy.
 
         Returns (fragment, cka, kind, y_raw) tuples; ties break on fragment
@@ -136,24 +157,24 @@ class _Search:
             except UnsupportedJointError:
                 continue
             usable.append((frag, kind))
-        if self.cfg.candidate_strategy == "fewest_params":
+        top_cka = self.cfg.candidate_strategy == "top_cka"
+        if not top_cka:
             usable.sort(key=lambda t: (t[0].n_params, t[0].id))
-            out = []
-            for frag, kind in usable[: self.cfg.span_k]:
-                score, y_raw = self._score_joint(frag, x_q, kind, stats)
-                out.append((frag, score, kind, y_raw))
-            return out
+            usable = usable[: self.cfg.span_k]
+        chain_sides = {}  # this node's chain operand sides
         scored = []
         for frag, kind in usable:
-            score, y_raw = self._score_joint(frag, x_q, kind, stats)
+            score, y_raw = self._score_joint(frag, x_q, kind, chain_sides)
             scored.append((frag, score, kind, y_raw))
-        scored.sort(key=lambda t: (-t[1], t[0].id))
+        if top_cka:
+            scored.sort(key=lambda t: (-t[1], t[0].id))
         return scored[: self.cfg.span_k]
 
-    def expand(self, q, x_q, score, out, stats):
+    def expand(self, q, x_q, score):
         if q.n_fragments >= self.cfg.max_fragments:
             return
-        for frag, joint_cka, kind, y_raw in self.rank_candidates(q, x_q, stats):
+        stats = self.stats
+        for frag, joint_cka, kind, y_raw in self.rank_candidates(q, x_q):
             stats.candidates_evaluated += 1
             stats.samples_processed += self.cfg.samples_m
             new_score = score * joint_cka
@@ -178,18 +199,14 @@ class _Search:
             if frag.is_terminating:
                 stats.stitchnets_emitted += 1
                 outputs = x_q2 if self.with_inference else None
-                out.append((q2, new_score, outputs, stats.candidates_evaluated))
+                self.emitted.append((q2, new_score, outputs, stats.candidates_evaluated))
             else:
-                self.expand(q2, x_q2, new_score, out, stats)
+                self.expand(q2, x_q2, new_score)
 
     def run_root(self, root):
-        out = []
-        stats = GenerationStats()
         net = self.pool.network(root.source_network_id)
         q = start_stitchnet(root, net)
-        x_q = forward(q, self.batch)
-        self.expand(q, x_q, 1.0, out, stats)
-        return out, stats
+        self.expand(q, forward(q, self.batch), 1.0)
 
 
 def _select_roots(pool, cfg):
@@ -214,10 +231,10 @@ def select_candidates(pool, q, k, strategy, batch, x_q=None):
     search = _Search(pool, batch, cfg, False)
     if x_q is None:
         x_q = forward(q, batch)
-    return [t[0] for t in search.rank_candidates(q, x_q, GenerationStats())]
+    return [t[0] for t in search.rank_candidates(q, x_q)]
 
 
-def generate(pool, dataset, cfg, with_inference=False, threads=1):
+def generate(pool, dataset, cfg, with_inference=False):
     """Run the composition search; see the module docstring.
 
     Returns completed stitched networks sorted by score (descending) with
@@ -239,25 +256,12 @@ def generate(pool, dataset, cfg, with_inference=False, threads=1):
     batch = dataset.images[idx]
 
     search = _Search(pool, batch, cfg, with_inference)
-    roots = _select_roots(pool, cfg)
-
-    stats = GenerationStats()
-    raw = []
-    if threads > 1 and len(roots) > 1:
-        # branches are independent; canonical sort below erases scheduling order
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            branch_results = list(ex.map(search.run_root, roots))
-    else:
-        branch_results = [search.run_root(root) for root in roots]
-    # emission costs count joints in the canonical (sequential root order)
-    # schedule: earlier roots' totals precede a later root's local count
-    joint_offset = 0
-    for out, st in branch_results:
-        for sn, score, probs, local_joints in out:
-            raw.append((sn, score, probs, joint_offset + local_joints))
-        joint_offset += st.candidates_evaluated
-        stats.merge(st)
-
+    # roots run in sorted order, so an emission's joint count includes
+    # every earlier root's joints (cost-to-reach accounting)
+    for root in _select_roots(pool, cfg):
+        search.run_root(root)
+    stats = search.stats
+    raw = search.emitted
     raw.sort(key=lambda t: (-t[1], t[0].provenance_key))
     entries = []
     outputs = {} if with_inference else None
@@ -273,7 +277,3 @@ def generate(pool, dataset, cfg, with_inference=False, threads=1):
         entries=entries, stats=stats, task_outputs=outputs, emission_joints=emission_joints
     )
 
-
-def generate_with_inference(pool, dataset, cfg, threads=1):
-    """generate() variant that returns task outputs alongside the networks."""
-    return generate(pool, dataset, cfg, with_inference=True, threads=threads)

@@ -145,15 +145,29 @@ def forward_upto(network, layer_index, batch):
     equals a full forward pass. This is the native input a fragment starting
     at layer_index receives inside its source network.
     """
-    if not (0 <= layer_index <= len(network.layers)):
-        raise DimensionError(
-            f"layer index {layer_index} out of range for '{network.id}' "
-            f"({len(network.layers)} layers)"
-        )
+    return forward_taps(network, [layer_index], batch)[layer_index]
+
+
+def forward_taps(network, layer_indices, batch):
+    """forward_upto at every index in layer_indices, from one pass.
+
+    Returns {index: activation}; each activation is bit-identical to
+    forward_upto(network, index, batch).
+    """
+    stops = set(layer_indices)
+    for index in stops:
+        if not (0 <= index <= len(network.layers)):
+            raise DimensionError(
+                f"layer index {index} out of range for '{network.id}' "
+                f"({len(network.layers)} layers)"
+            )
     x = as_tensor(batch, "batch")
-    for i, layer in enumerate(network.layers[:layer_index]):
+    taps = {0: x} if 0 in stops else {}
+    for i, layer in enumerate(network.layers[: max(stops, default=0)]):
         x = _run(layer, x, i)
-    return x
+        if i + 1 in stops:
+            taps[i + 1] = x
+    return taps
 
 
 _HYPERPARAMS = ("stride", "padding", "k", "target_h", "target_w")

@@ -40,8 +40,9 @@ FORMAT_VERSION = 1
 
 
 def _check_token(tok, what):
-    if not tok or any(ch.isspace() for ch in str(tok)):
-        raise ConfigError(f"{what} {tok!r} must be non-empty without whitespace")
+    # ids and labels land unquoted in space-separated headers and in CSVs
+    if not tok or any(ch.isspace() or ch == "," for ch in str(tok)):
+        raise ConfigError(f"{what} {tok!r} must be non-empty without whitespace or commas")
     return str(tok)
 
 
@@ -106,6 +107,12 @@ class _Reader:
         except ValueError:
             self.fail(f"bad integer {tok!r} in {what}", start)
 
+    def name(self, tok, what, start):
+        """A header token that ends up in CSVs: no commas, as in _check_token."""
+        if "," in tok:
+            self.fail(f"{what} {tok!r} holds a comma", start)
+        return tok
+
     def floatval(self, tok, what, start):
         try:
             return float(tok)
@@ -147,6 +154,22 @@ def _parse_layer(toks, r, start):
     r.fail(f"unknown layer kind {kind!r}", start)
 
 
+def _first_non_finite(flat):
+    """Index of the first NaN or Inf in a float array, or None."""
+    finite = np.isfinite(flat)
+    return None if finite.all() else int(np.argmin(finite))
+
+
+def _tensor_at(tensors, index):
+    """Name of the tensor that holds float number index of the blob."""
+    acc = 0
+    for tname, arr in tensors:
+        if acc + arr.size > index:
+            return tname
+        acc += arr.size
+    return tensors[-1][0] if tensors else "?"
+
+
 def _read_blob(r, chain):
     toks, start = r.tokens("blob header", expect_key="blob", min_tokens=2)
     declared = r.intval(toks[1], "blob header", start)
@@ -161,26 +184,22 @@ def _read_blob(r, chain):
     if len(blob) < declared * 8:
         # name the tensor the shortfall lands in
         have = len(blob) // 8
-        acc = 0
-        culprit = tensors[-1][0] if tensors else "?"
-        for tname, arr in tensors:
-            if acc + arr.size > have:
-                culprit = tname
-                break
-            acc += arr.size
         r.fail(
-            f"blob holds {have} floats, {declared} declared; truncated in tensor '{culprit}'",
+            f"blob holds {have} floats, {declared} declared; "
+            f"truncated in tensor '{_tensor_at(tensors, have)}'",
             r.pos + have * 8,
         )
     if len(blob) > declared * 8:
         r.fail(f"{len(blob) - declared * 8} trailing bytes after blob", r.pos + declared * 8)
     flat = np.frombuffer(blob, dtype="<f8")
+    bad = _first_non_finite(flat)
+    if bad is not None:
+        r.fail(f"non-finite value {flat[bad]} in tensor '{_tensor_at(tensors, bad)}'", r.pos + bad * 8)
     offset = 0
     for tname, arr in tensors:
         chunk = flat[offset : offset + arr.size]
         arr[...] = chunk.reshape(arr.shape)
         offset += arr.size
-    return
 
 
 def _blob_bytes(chain):
@@ -234,7 +253,7 @@ def _load_stitchnet(r, model_id, input_shape, class_labels):
     fragments, adapters, provenance = [], [], []
     for _ in range(n_frags):
         toks, start = r.tokens("fragment header", expect_key="fragment", min_tokens=10)
-        src, lo, hi, kind = toks[1], toks[2], toks[3], toks[4]
+        src, lo, hi, kind = r.name(toks[1], "network id", start), toks[2], toks[3], toks[4]
         cka = r.floatval(toks[5], "fragment header", start)
         if toks[6] != "layers" or toks[8] != "adapters":
             r.fail(f"malformed fragment header: {' '.join(toks)!r}", start)
@@ -280,12 +299,12 @@ def load_network(path):
     toks, start = r.tokens("kind", expect_key="kind", min_tokens=2)
     file_kind = toks[1]
     toks, start = r.tokens("id", expect_key="id", min_tokens=2)
-    model_id = toks[1]
+    model_id = r.name(toks[1], "model id", start)
     toks, start = r.tokens("input shape", expect_key="input_shape", min_tokens=2)
     input_shape = tuple(r.intval(t, "input shape", start) for t in toks[1:])
     toks, start = r.tokens("class labels", expect_key="class_labels", min_tokens=2)
     n_labels = r.intval(toks[1], "class labels", start)
-    labels = toks[2:]
+    labels = [r.name(t, "class label", start) for t in toks[2:]]
     if len(labels) != n_labels:
         r.fail(f"class_labels declares {n_labels} labels, lists {len(labels)}", start)
 
@@ -341,7 +360,7 @@ def load_dataset(path):
     split = toks[1]
     toks, start = r.tokens("class names", expect_key="class_names", min_tokens=2)
     n_names = r.intval(toks[1], "class names", start)
-    names = toks[2:]
+    names = [r.name(t, "class name", start) for t in toks[2:]]
     if len(names) != n_names:
         r.fail(f"class_names declares {n_names}, lists {len(names)}", start)
     toks, start = r.tokens("labels", expect_key="labels", min_tokens=2)
@@ -374,7 +393,11 @@ def load_dataset(path):
             f"blob holds {len(blob) // 8} floats, {declared} declared",
             r.pos + min(len(blob), declared * 8),
         )
-    images = np.frombuffer(blob, dtype="<f8").reshape(shape).copy()
+    flat = np.frombuffer(blob, dtype="<f8")
+    bad = _first_non_finite(flat)
+    if bad is not None:
+        r.fail(f"non-finite value {flat[bad]} in images", r.pos + bad * 8)
+    images = flat.reshape(shape).copy()
     try:
         return Dataset(
             images, labels, names, seed, split, extras["train_indices"], extras["test_indices"]

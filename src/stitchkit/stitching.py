@@ -55,6 +55,35 @@ def _channels_by_positions(x):
     return np.ascontiguousarray(x.transpose(1, 0, 2, 3).reshape(c, n * h * w))
 
 
+# (chain, native) activation ranks of each joint kind
+_JOINT_RANKS = {JOINT_LINEAR: (2, 2), JOINT_CONV: (4, 4), JOINT_CONV_LINEAR: (4, 2)}
+
+
+def _features_by_samples(raw, kind):
+    if kind == JOINT_CONV:
+        return ActivationMatrix(_channels_by_positions(raw))
+    return ActivationMatrix(np.ascontiguousarray(raw.T))
+
+
+def chain_operand(x_raw, kind, native_shape):
+    """The chain side of a joint as a features-by-samples matrix.
+
+    Depends on the candidate only through the joint kind and, for conv
+    joints, the native spatial size the chain output is resized to.
+    """
+    x_raw = as_tensor(x_raw, "x")
+    if kind == JOINT_CONV:
+        x_raw = resize_spatial(x_raw, native_shape[2], native_shape[3])
+    elif kind == JOINT_CONV_LINEAR:
+        x_raw = adaptive_avg_pool_1x1(x_raw).reshape(x_raw.shape[0], -1)
+    return _features_by_samples(x_raw, kind)
+
+
+def native_operand(y_raw, kind):
+    """The fragment side of a joint (its native input) as features-by-samples."""
+    return _features_by_samples(as_tensor(y_raw, "y"), kind)
+
+
 def prepare_joint(x_raw, y_raw, kind):
     """Raw joint activations -> the matched features-by-samples pair.
 
@@ -65,32 +94,15 @@ def prepare_joint(x_raw, y_raw, kind):
     """
     x_raw = as_tensor(x_raw, "x")
     y_raw = as_tensor(y_raw, "y")
-    if kind == JOINT_LINEAR:
-        if x_raw.ndim != 2 or y_raw.ndim != 2:
-            raise DimensionError(f"linear joint expects 2-D activations, got {x_raw.shape}, {y_raw.shape}")
-        return (
-            ActivationMatrix(np.ascontiguousarray(x_raw.T)),
-            ActivationMatrix(np.ascontiguousarray(y_raw.T)),
+    ranks = _JOINT_RANKS.get(kind)
+    if ranks is None:
+        raise UnsupportedJointError(f"unknown joint kind {kind!r}")
+    if (x_raw.ndim, y_raw.ndim) != ranks:
+        raise DimensionError(
+            f"{kind} joint expects {ranks[0]}-D/{ranks[1]}-D activations, "
+            f"got {x_raw.shape}, {y_raw.shape}"
         )
-    if kind == JOINT_CONV:
-        if x_raw.ndim != 4 or y_raw.ndim != 4:
-            raise DimensionError(f"conv joint expects 4-D activations, got {x_raw.shape}, {y_raw.shape}")
-        x_rs = resize_spatial(x_raw, y_raw.shape[2], y_raw.shape[3])
-        return (
-            ActivationMatrix(_channels_by_positions(x_rs)),
-            ActivationMatrix(_channels_by_positions(y_raw)),
-        )
-    if kind == JOINT_CONV_LINEAR:
-        if x_raw.ndim != 4 or y_raw.ndim != 2:
-            raise DimensionError(
-                f"conv-to-linear joint expects 4-D/2-D activations, got {x_raw.shape}, {y_raw.shape}"
-            )
-        pooled = adaptive_avg_pool_1x1(x_raw).reshape(x_raw.shape[0], -1)
-        return (
-            ActivationMatrix(np.ascontiguousarray(pooled.T)),
-            ActivationMatrix(np.ascontiguousarray(y_raw.T)),
-        )
-    raise UnsupportedJointError(f"unknown joint kind {kind!r}")
+    return chain_operand(x_raw, kind, y_raw.shape), native_operand(y_raw, kind)
 
 
 def fuse_linear(weight, a):

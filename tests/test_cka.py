@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stitchkit.cka import (
+    _GRAM_SAMPLE_LIMIT,
     ActivationMatrix,
     _hsic_terms,
+    cka_from_sides,
     cka_linear,
+    cka_side,
     cka_minibatch,
     flatten_activations,
     hsic,
@@ -235,3 +238,59 @@ class TestUnitRange:
         num, kk, mm = (np.mean(t) for t in zip(*terms))
         assert num / np.sqrt(kk * mm) > 1.0  # the unclamped ratio
         assert cka_minibatch(xs, ys) == 1.0
+
+
+class TestCkaSides:
+    """cka_from_sides(cka_side(x), cka_side(y)) is cka_linear(x, y), bit for bit."""
+
+    SAMPLE_COUNTS = [32, 128, _GRAM_SAMPLE_LIMIT, _GRAM_SAMPLE_LIMIT + 1, 600]
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_cka_linear_bitwise(self, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(7, n))
+        y = rng.normal(size=(5, n)) + 0.4 * x[:5]
+        assert cka_from_sides(cka_side(x), cka_side(y)) == cka_linear(x, y)
+        assert cka_from_sides(cka_side(y), cka_side(x)) == cka_linear(y, x)
+        assert cka_from_sides(cka_side(x), cka_side(x)) == cka_linear(x, x)
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_rank_deficient_operand_bitwise(self, n):
+        # 12 features spanned by 2 directions; a ReLU-dead row on the other side
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(12, 2)) @ rng.normal(size=(2, n))
+        y = np.maximum(rng.normal(size=(6, n)) + 0.5 * x[:6], 0.0)
+        y[3] = 0.0
+        assert cka_from_sides(cka_side(x), cka_side(y)) == cka_linear(x, y)
+
+    @pytest.mark.parametrize("n", SAMPLE_COUNTS)
+    def test_one_side_serves_many_pairings(self, n):
+        rng = np.random.default_rng(40 + n)
+        x = rng.normal(size=(4, n))
+        side = cka_side(x)
+        for _ in range(3):
+            y = rng.normal(size=(3, n)) + rng.normal() * x[:3]
+            assert cka_from_sides(side, cka_side(y)) == cka_linear(x, y)
+
+    def test_form_follows_the_sample_limit(self):
+        rng = np.random.default_rng(5)
+        gram = cka_side(rng.normal(size=(3, _GRAM_SAMPLE_LIMIT)))
+        feats = cka_side(rng.normal(size=(3, _GRAM_SAMPLE_LIMIT + 1)))
+        assert gram.is_gram and gram.centred.shape == (_GRAM_SAMPLE_LIMIT,) * 2
+        assert not feats.is_gram and feats.centred.shape == (3, _GRAM_SAMPLE_LIMIT + 1)
+
+    @pytest.mark.parametrize("n", [32, _GRAM_SAMPLE_LIMIT + 1])
+    def test_constant_side_degenerate_like_cka_linear(self, n):
+        x = np.full((3, n), 1.5)
+        y = np.random.default_rng(8).normal(size=(3, n))
+        with pytest.raises(DegenerateActivationsError) as want:
+            cka_linear(x, y)
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(DegenerateActivationsError) as got:
+                cka_from_sides(cka_side(a), cka_side(b))
+            assert str(got.value) == str(want.value)
+
+    def test_sample_count_mismatch(self):
+        with pytest.raises(DimensionError):
+            cka_from_sides(cka_side(np.ones((2, 5)) + np.eye(2, 5)), cka_side(np.eye(2, 6)))

@@ -1,5 +1,8 @@
 """Composition search: pruning, bounds, determinism, candidate ranking."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from stitchkit.errors import ConfigError
 from stitchkit.generate import (
     GenerationConfig,
     generate,
-    generate_with_inference,
     select_candidates,
 )
 from stitchkit.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Softmax
@@ -130,9 +132,8 @@ class TestGenerate:
 
         a = generate(tiny_pool, ds, cfg)
         b = generate(tiny_pool, ds, cfg)
-        c = generate(tiny_pool, ds, cfg, threads=4)
-        assert snap(a) == snap(b) == snap(c)
-        assert a.emission_joints == b.emission_joints == c.emission_joints
+        assert snap(a) == snap(b)
+        assert a.emission_joints == b.emission_joints
 
     def test_empty_starting_selection_rejected(self, tiny_pool):
         ds = random_dataset(seed=19)
@@ -194,6 +195,92 @@ class TestGenerate:
             assert all(p.source_network_id != "deadnet" for p in sn.provenance[1:])
 
 
+def conv_net(seed, width=4):
+    """Three conv layers, then a linear head: conv, conv-to-linear joints."""
+    rng = np.random.default_rng(seed)
+    layers = [
+        Conv2d(rng.normal(0, 0.5, (width, 1, 3, 3)), rng.normal(0, 0.1, width), 1, 1, "c1"),
+        ReLU("r1"),
+        Conv2d(rng.normal(0, 0.4, (width + 2, width, 3, 3)), rng.normal(0, 0.1, width + 2), 1, 1, "c2"),
+        ReLU("r2"),
+        MaxPool2d(2, 2, "p1"),
+        Conv2d(rng.normal(0, 0.4, (width, width + 2, 3, 3)), rng.normal(0, 0.1, width), 1, 1, "c3"),
+        ReLU("r3"),
+        Flatten("fl"),
+        Linear(rng.normal(0, 0.3, (3, width * 16)), rng.normal(0, 0.1, 3), "fc"),
+        Softmax("sm"),
+    ]
+    return Network(layers, (1, 8, 8), ["c0", "c1", "c2"], f"conv{seed}")
+
+
+def search_digest(res):
+    """sha256 over ids, score and per-joint CKA reprs, provenance, emission
+    joint counts, fused weight bytes, task outputs and the counters."""
+    h = hashlib.sha256()
+    for sn, score in res.entries:
+        h.update(f"{sn.id};{score!r};{sn.provenance_key};{res.emission_joints[sn.id]};".encode())
+        h.update(";".join(repr(p.cka) for p in sn.provenance).encode())
+        for layer in sn.chain:
+            for name, arr in sorted(layer.params().items()):
+                h.update(name.encode())
+                h.update(arr.tobytes())
+        h.update(res.task_outputs[sn.id].tobytes())
+    st = res.stats
+    counters = (
+        st.candidates_evaluated,
+        st.joints_rejected,
+        st.cka_computations,
+        st.stitchnets_emitted,
+        st.samples_processed,
+    )
+    h.update(repr(counters).encode())
+    return h.hexdigest()
+
+
+class TestSearchCost:
+    """The search scores joints from cached CKA sides and one native forward
+    pass per source network, with the output of scoring each joint afresh."""
+
+    # captured from the search that ran cka_linear and forward_upto per joint
+    GOLDEN_TINY = "95b910cf720c659e59d1752a48ab70882602761de1ca71e8d8292599c8bdacd0"
+    GOLDEN_CONV = "eeda9601c2c1ad71833a2966e3a9f6dab5092444ccff2baa10b0cedb9e40ede6"
+
+    def test_tiny_pool_matches_golden_digest(self, tiny_pool):
+        cfg = GenerationConfig(threshold=0.2, samples_m=32, seed=15)
+        res = generate(tiny_pool, random_dataset(seed=31), cfg, with_inference=True)
+        assert len(res.entries) == 6
+        assert search_digest(res) == self.GOLDEN_TINY
+
+    def test_conv_pool_matches_golden_digest(self):
+        # conv joints fold 32 x 8 x 8 positions into samples: feature-space sides
+        pool = build_pool([conv_net(s) for s in (4, 5)], fine=True)
+        cfg = GenerationConfig(threshold=0.2, samples_m=32, seed=16)
+        res = generate(pool, random_dataset(seed=32), cfg, with_inference=True)
+        assert len(res.entries) == 20
+        assert search_digest(res) == self.GOLDEN_CONV
+
+    def test_one_native_pass_per_source_network(self, monkeypatch):
+        pool = build_pool([conv_net(s) for s in (4, 5)], fine=True)
+        calls = Counter()
+        for cls in {type(l) for net in pool.networks for l in net.layers}:
+            def counted(self, x, _forward=cls.forward):
+                calls[id(self)] += 1
+                return _forward(self, x)
+
+            monkeypatch.setattr(cls, "forward", counted)
+        res = generate(pool, random_dataset(seed=32), GenerationConfig(threshold=0.2, samples_m=32, seed=16))
+        assert res.stats.cka_computations > len(pool.fragments)
+        # chains run copies of their fragments' weighted layers (parameter-free
+        # layers are shared), so a source network's own weighted layers run
+        # only in its native pass
+        for net in pool.networks:
+            deepest = max(f.start_layer for f in pool.fragments if f.source_network_id == net.id)
+            weighted = [(i, l) for i, l in enumerate(net.layers) if l.n_params]
+            assert len(weighted) == 4
+            for i, layer in weighted:
+                assert calls[id(layer)] == (1 if i < deepest else 0), (net.id, i)
+
+
 class TestSelectCandidates:
     def test_k_at_least_pool_returns_all_compatible(self, tiny_pool):
         ds = random_dataset(seed=24)
@@ -251,7 +338,9 @@ class TestSelectCandidates:
 class TestGenerateWithInference:
     def test_outputs_rows_sum_to_one(self, tiny_pool):
         ds = random_dataset(seed=28)
-        res = generate_with_inference(tiny_pool, ds, GenerationConfig(threshold=0.3, samples_m=32, seed=12))
+        res = generate(
+            tiny_pool, ds, GenerationConfig(threshold=0.3, samples_m=32, seed=12), with_inference=True
+        )
         assert res.task_outputs
         for probs in res.task_outputs.values():
             assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
@@ -259,7 +348,7 @@ class TestGenerateWithInference:
     def test_outputs_match_posthoc_forward(self, tiny_pool):
         ds = random_dataset(seed=29)
         cfg = GenerationConfig(threshold=0.3, samples_m=32, seed=13)
-        res = generate_with_inference(tiny_pool, ds, cfg)
+        res = generate(tiny_pool, ds, cfg, with_inference=True)
         rng = np.random.default_rng(cfg.seed)
         idx = np.sort(rng.choice(len(ds), size=cfg.samples_m, replace=False))
         batch = ds.images[idx]
@@ -272,7 +361,7 @@ class TestGenerateWithInference:
 
         ds = random_dataset(seed=30)
         cfg = GenerationConfig(threshold=0.3, samples_m=32, seed=14)
-        res = generate_with_inference(tiny_pool, ds, cfg)
+        res = generate(tiny_pool, ds, cfg, with_inference=True)
         rng = np.random.default_rng(cfg.seed)
         idx = np.sort(rng.choice(len(ds), size=cfg.samples_m, replace=False))
         target = ds.subset(idx)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stitchkit.data import make_synthetic_dataset
-from stitchkit.errors import ParseError
+from stitchkit.errors import ConfigError, ParseError
 from stitchkit.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Softmax
 from stitchkit.network import Network, build_pool, forward, models_equal
 from stitchkit.serialize import (
@@ -131,6 +131,73 @@ class TestMalformedFiles:
         with pytest.raises(ParseError) as err:
             load_network(tmp_path / "cut.snet")
         assert err.value.offset is not None
+
+
+def _poke_float(path, index, value):
+    """Overwrite float number index of a file's trailing blob; returns its byte offset."""
+    data = bytearray(path.read_bytes())
+    blob_line = data.index(b"\nblob ") + 1
+    offset = data.index(b"\n", blob_line) + 1 + index * 8
+    data[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+    path.write_bytes(bytes(data))
+    return offset
+
+
+class TestNonFiniteBlobs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_network_names_tensor_and_offset(self, tmp_path, value):
+        net = sample_net(11)
+        path = save_network(net, tmp_path / "n.snet")
+        names = [f"{l.name}.{p}" for l in net.layers for p in l.params()]
+        sizes = [a.size for l in net.layers for a in l.params().values()]
+        target = names.index("fc1.bias")
+        index = sum(sizes[:target]) + 2
+        offset = _poke_float(path, index, value)
+        _poke_float(path, index + 10, np.nan)  # a later bad float is not the one named
+        with pytest.raises(ParseError, match=r"non-finite value .* in tensor 'fc1\.bias'") as err:
+            load_network(path)
+        assert err.value.offset == offset
+
+    def test_stitchnet_names_tensor(self, tmp_path, genresult):
+        sn = genresult.entries[0][0]
+        path = save_network(sn, tmp_path / "sn.snet")
+        first = next(f"{l.name}.{p}" for l in sn.chain for p in l.params())
+        _poke_float(path, 0, np.inf)
+        with pytest.raises(ParseError, match=f"non-finite value inf in tensor '{first}'"):
+            load_network(path)
+
+    def test_dataset_names_offset(self, tmp_path):
+        ds = make_synthetic_dataset(3, 5, 8, seed=14)
+        path = save_dataset(ds, tmp_path / "d.sdat")
+        offset = _poke_float(path, 77, np.nan)
+        with pytest.raises(ParseError, match="non-finite value nan in images") as err:
+            load_dataset(path)
+        assert err.value.offset == offset
+
+
+class TestTokens:
+    def test_comma_in_model_id_rejected(self, tmp_path):
+        net = sample_net(13)
+        net.id = "a,b"
+        with pytest.raises(ConfigError, match="commas"):
+            save_network(net, tmp_path / "n.snet")
+        assert not (tmp_path / "n.snet").exists()
+
+    def test_comma_in_loaded_header_is_parse_error(self, tmp_path):
+        path = save_network(sample_net(15), tmp_path / "n.snet")
+        data = path.read_bytes()
+        for old, new in ((b"id sample15\n", b"id a,b\n"), (b" a b c\n", b" a b,c d\n")):
+            assert old in data
+            (tmp_path / "bad.snet").write_bytes(data.replace(old, new, 1))
+            with pytest.raises(ParseError, match="holds a comma") as err:
+                load_network(tmp_path / "bad.snet")
+            assert err.value.offset == data.rindex(b"\n", 0, data.index(old)) + 1
+
+    def test_comma_in_class_label_rejected(self, tmp_path):
+        net = sample_net(14)
+        net.class_labels = ["a", "b,c", "d"]
+        with pytest.raises(ConfigError, match="commas"):
+            save_network(net, tmp_path / "n.snet")
 
 
 class TestDatasetRoundTrip:

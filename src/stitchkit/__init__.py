@@ -85,7 +85,6 @@ from .stitching import (
 from .tensor_ops import (
     adaptive_avg_pool_1x1,
     center_columns,
-    conv2d,
     matmul,
     resize_spatial,
     solve_projection,

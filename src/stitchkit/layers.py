@@ -15,9 +15,9 @@ from .tensor_ops import (
     adaptive_avg_pool_1x1,
     as_tensor,
     col2im,
-    conv_windows,
     im2col,
     resize_spatial,
+    tap_views,
 )
 
 TRAINABLE_KINDS = ("linear", "conv2d")
@@ -84,9 +84,9 @@ class Linear(Layer):
         out = self.forward(x)
         return out, x
 
-    def backward(self, grad, cache):
+    def backward(self, grad, cache, input_grad=True):
         x = cache
-        gx = grad @ self.weight
+        gx = grad @ self.weight if input_grad else None
         return gx, {"weight": grad.T @ x, "bias": grad.sum(axis=0)}
 
     def out_shape(self, in_shape):
@@ -130,7 +130,7 @@ class Conv2d(Layer):
         return self.weight.shape[1]
 
     def _cols(self, x):
-        """im2col patches of a checked input, and the NCHW output shape."""
+        """Patch matrix [C*kh*kw, N*Ho*Wo] of a checked input, and the NCHW output shape."""
         x = as_tensor(x, "input")
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise DimensionError(
@@ -141,29 +141,31 @@ class Conv2d(Layer):
         return cols, (x.shape[0], o, ho, wo)
 
     def _nchw(self, out, shape):
-        out += self.bias  # in place: same values as out + bias, no extra copy
+        out += self.bias[:, None]  # in place: same values as out + bias, no extra copy
         n, o, ho, wo = shape
-        return np.ascontiguousarray(out.reshape(n, ho, wo, o).transpose(0, 3, 1, 2))
+        return np.ascontiguousarray(out.reshape(o, n, ho, wo).transpose(1, 0, 2, 3))
 
     def forward(self, x):
         cols, shape = self._cols(x)
-        out = cols @ self.weight.reshape(self.out_channels, -1).T
+        out = self.weight.reshape(self.out_channels, -1) @ cols
         del cols  # the patch matrix is the largest temporary; free it first
         return self._nchw(out, shape)
 
     def forward_cache(self, x):
         cols, shape = self._cols(x)
-        out = self._nchw(cols @ self.weight.reshape(self.out_channels, -1).T, shape)
+        out = self._nchw(self.weight.reshape(self.out_channels, -1) @ cols, shape)
         return out, (cols, np.shape(x))
 
-    def backward(self, grad, cache):
+    def backward(self, grad, cache, input_grad=True):
         cols, x_shape = cache
         o, c, kh, kw = self.weight.shape
         gmat = grad.transpose(0, 2, 3, 1).reshape(-1, o)
-        dw = (gmat.T @ cols).reshape(self.weight.shape)
+        dw = (gmat.T @ cols.T).reshape(self.weight.shape)
         db = gmat.sum(axis=0)
-        dcols = gmat @ self.weight.reshape(o, -1)
-        gx = col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
+        gx = None
+        if input_grad:
+            dcols = gmat @ self.weight.reshape(o, -1)
+            gx = col2im(dcols, x_shape, kh, kw, self.stride, self.padding)
         return gx, {"weight": dw, "bias": db}
 
     def out_shape(self, in_shape):
@@ -216,30 +218,42 @@ class MaxPool2d(Layer):
         self.stride = int(stride) if stride is not None else int(k)
         self.name = name
 
-    def forward(self, x):
+    def _taps(self, x):
+        """Checked 4-D input and its k*k tap views, row-major over the window."""
         x = as_tensor(x, "input")
         if x.ndim != 4:
             raise DimensionError(f"maxpool expects 4-D input, got {x.shape}")
-        win = conv_windows(x, self.k, self.k, self.stride, 0)
-        return np.ascontiguousarray(win.max(axis=(4, 5)))
+        _, ho, wo = self.out_shape(x.shape[1:])
+        return x, tap_views(x, self.k, self.k, self.stride, ho, wo)
+
+    def forward(self, x):
+        _, taps = self._taps(x)
+        out = taps[0].copy()
+        for tap in taps[1:]:
+            # np.maximum returns its second operand on ties, so the earlier
+            # tap wins as with argmax (this decides 0.0 against -0.0)
+            np.maximum(tap, out, out=out)
+        return out
 
     def forward_cache(self, x):
-        x = as_tensor(x, "input")
-        win = conv_windows(x, self.k, self.k, self.stride, 0)
-        n, c, ho, wo = win.shape[:4]
-        flat = win.reshape(n, c, ho, wo, self.k * self.k)
-        arg = flat.argmax(axis=4)  # first max wins: deterministic tie-break
-        out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
-        return np.ascontiguousarray(out), (arg, x.shape, (ho, wo))
+        x, taps = self._taps(x)
+        out = taps[0].copy()
+        arg = np.zeros(out.shape, dtype=np.intp)
+        for t, tap in enumerate(taps[1:], 1):
+            hit = tap > out  # strict: first max wins, a deterministic tie-break
+            np.copyto(out, tap, where=hit)
+            arg[hit] = t
+        return out, (arg, x.shape)
 
     def backward(self, grad, cache):
-        arg, x_shape, (ho, wo) = cache
-        n, c = x_shape[0], x_shape[1]
+        arg, x_shape = cache
         gx = np.zeros(x_shape)
-        ni, ci, hi, wi = np.indices((n, c, ho, wo))
-        rows = hi * self.stride + arg // self.k
-        cols = wi * self.stride + arg % self.k
-        np.add.at(gx, (ni, ci, rows, cols), grad)
+        ho, wo = arg.shape[2:]
+        taps = tap_views(gx, self.k, self.k, self.stride, ho, wo)
+        # last tap first: a cell shared by overlapping windows then sums its
+        # gradients in the output raster order of np.add.at
+        for t in range(len(taps) - 1, -1, -1):
+            taps[t] += np.where(arg == t, grad, 0.0)
         return gx, {}
 
     def out_shape(self, in_shape):

@@ -7,7 +7,6 @@ activations are samples-first and get transposed at the analysis boundary.
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError
 
@@ -41,68 +40,50 @@ def _padded(x, padding):
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def conv_windows(x, kh, kw, stride, padding):
-    """Sliding (kh, kw) windows of a padded NCHW batch, strided.
+def tap_views(x, kh, kw, stride, ho, wo):
+    """The kh*kw strided views of an NCHW array, one per kernel tap.
 
-    Returns a view of shape [N, C, Ho, Wo, kh, kw].
+    View i*kw + j is x[:, :, i + stride*r, j + stride*c] for r < ho,
+    c < wo: the input each output cell reads at tap (i, j). Writing to a
+    view writes to x.
+    """
+    return [
+        x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+        for i in range(kh)
+        for j in range(kw)
+    ]
+
+
+def im2col(x, kh, kw, stride, padding):
+    """Unfold an NCHW batch into a [C*kh*kw, N*Ho*Wo] patch matrix.
+
+    Rows are ordered (c, i, j), matching weight.reshape(O, -1); columns
+    are ordered (n, ho, wo). Built with one strided copy per kernel tap.
     """
     xp = _padded(x, padding)
-    hp, wp = xp.shape[2], xp.shape[3]
+    n, c, hp, wp = xp.shape
     if kh > hp or kw > wp:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    return win[:, :, ::stride, ::stride]
-
-
-def conv2d(x, weight, bias=None, stride=1, padding=0):
-    """2-D cross-correlation of an NCHW batch with an OCkhkw kernel.
-
-    Output spatial size is floor((H + 2*padding - kh)/stride) + 1 per axis.
-    No kernel flip (the convention of mainstream pre-trained models).
-    """
-    x = as_tensor(x, "input")
-    w = as_tensor(weight, "weight")
-    if x.ndim != 4 or w.ndim != 4:
-        raise DimensionError(f"conv2d expects 4-D input/weight, got {x.shape} and {w.shape}")
-    if stride < 1 or padding < 0:
-        raise ConfigError(f"bad stride/padding: {stride}/{padding}")
-    n, c, h, wd = x.shape
-    o, cw, kh, kw = w.shape
-    if c != cw:
-        raise DimensionError(f"input has {c} channels, weight expects {cw}")
-    win = conv_windows(x, kh, kw, stride, padding)
-    out = np.einsum("nchwkl,ockl->nohw", win, w, optimize=True)
-    if bias is not None:
-        b = as_tensor(bias, "bias")
-        if b.shape != (o,):
-            raise DimensionError(f"bias shape {b.shape} does not match {o} output channels")
-        out = out + b[None, :, None, None]
-    return np.ascontiguousarray(out)
-
-
-def im2col(x, kh, kw, stride, padding):
-    """Unfold an NCHW batch into a [N*Ho*Wo, C*kh*kw] patch matrix."""
-    win = conv_windows(x, kh, kw, stride, padding)
-    n, c, ho, wo = win.shape[:4]
-    cols = win.transpose(0, 2, 3, 1, 4, 5).reshape(n * ho * wo, c * kh * kw)
-    return np.ascontiguousarray(cols), (ho, wo)
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    cols = np.empty((c, kh * kw, n, ho, wo))
+    for t, tap in enumerate(tap_views(xp, kh, kw, stride, ho, wo)):
+        cols[:, t] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
-    """Scatter-add a patch matrix back onto the (padded) input grid."""
+    """Scatter-add a [N*Ho*Wo, C*kh*kw] patch matrix back onto the input grid."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * padding, w + 2 * padding
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     patches = cols.reshape(n, ho, wo, c, kh, kw)
     xp = np.zeros((n, c, hp, wp))
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += (
-                patches[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-            )
+    for t, view in enumerate(tap_views(xp, kh, kw, stride, ho, wo)):
+        view += patches[:, :, :, :, t // kw, t % kw].transpose(0, 3, 1, 2)
     if padding:
         xp = xp[:, :, padding : padding + h, padding : padding + w]
     return np.ascontiguousarray(xp)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericError
-from .layers import Linear, Softmax, softmax_probs
+from .layers import TRAINABLE_KINDS, Linear, Softmax, softmax_probs
 from .network import Network, forward_upto
 
 
@@ -38,10 +38,15 @@ def loss_and_grads(layers, batch, labels):
     grad[np.arange(n), labels] -= 1.0
     grad /= n
     grads = {}
-    for i in range(len(layers) - 1, -1, -1):
+    first = next((i for i, l in enumerate(layers) if l.kind in TRAINABLE_KINDS), len(layers))
+    for i in range(len(layers) - 1, first, -1):
         grad, layer_grads = layers[i].backward(grad, caches[i])
         if layer_grads:
             grads[i] = layer_grads
+    if first < len(layers):
+        # nothing below the first trainable layer needs a gradient, so its
+        # input gradient (a GEMM and, for a conv, a col2im) is never formed
+        _, grads[first] = layers[first].backward(grad, caches[first], input_grad=False)
     return loss, grads
 
 

@@ -17,7 +17,9 @@ from stitchkit.stitching import (
     start_stitchnet,
     stitch,
 )
-from stitchkit.tensor_ops import adaptive_avg_pool_1x1, conv2d, solve_projection
+from stitchkit.tensor_ops import adaptive_avg_pool_1x1, solve_projection
+
+from conv_oracle import conv2d
 
 
 class TestFuseLinear:

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from stitchkit.errors import ConfigError, DimensionError, NumericError
+from stitchkit.layers import Conv2d, MaxPool2d
 from stitchkit.tensor_ops import (
     adaptive_avg_pool_1x1,
     center_columns,
-    conv2d,
     matmul,
     resize_spatial,
     solve_projection,
@@ -101,6 +102,11 @@ class TestMatmul:
         assert matmul(a, b).tobytes() == matmul(a, b).tobytes()
 
 
+def conv2d(x, weight, bias, stride, padding):
+    """The library's one conv path, Conv2d.forward, called like the oracle."""
+    return Conv2d(weight, bias, stride, padding).forward(x)
+
+
 class TestConv2d:
     def test_identity_1x1_kernel(self):
         rng = np.random.default_rng(3)
@@ -140,6 +146,71 @@ class TestConv2d:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), 1, 0)
+
+
+def window_argmax_maxpool(x, k, stride):
+    """Max-pool through whole windows: argmax (first max wins), then gather."""
+    win = sliding_window_view(x, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, ho, wo = win.shape[:4]
+    flat = win.reshape(n, c, ho, wo, k * k)
+    arg = flat.argmax(axis=4)
+    out = np.take_along_axis(flat, arg[..., None], axis=4)[..., 0]
+    return out, arg
+
+
+def scatter_maxpool_backward(grad, arg, x_shape, k, stride):
+    """Route each output gradient to its window's argmax cell with np.add.at."""
+    gx = np.zeros(x_shape)
+    ni, ci, hi, wi = np.indices(arg.shape)
+    np.add.at(gx, (ni, ci, hi * stride + arg // k, wi * stride + arg % k), grad)
+    return gx
+
+
+# (k, stride, H, W): k == stride, odd H/W with leftover rows and columns,
+# k < stride (cells no window reads), and overlapping windows
+POOL_CASES = [(2, 2, 8, 8), (2, 2, 7, 9), (3, 3, 10, 11), (2, 3, 8, 7), (3, 1, 6, 6), (3, 2, 7, 8)]
+
+
+class TestMaxPool2d:
+    @pytest.mark.parametrize("method", ["forward", "forward_cache"])
+    def test_3d_input_raises_dimension_error(self, method):
+        with pytest.raises(DimensionError, match=r"maxpool expects 4-D input, got \(2, 4, 4\)"):
+            getattr(MaxPool2d(2, 2, "p"), method)(np.zeros((2, 4, 4)))
+
+    @pytest.mark.parametrize("method", ["forward", "forward_cache"])
+    def test_window_larger_than_input_raises(self, method):
+        with pytest.raises(DimensionError, match="output collapses"):
+            getattr(MaxPool2d(3, 1, "p"), method)(np.zeros((1, 1, 2, 5)))
+
+    @staticmethod
+    def _inputs(rng, shape):
+        # post-ReLU: many exact 0.0 ties
+        relu = np.maximum(rng.normal(size=shape), 0.0)
+        # signed zeros: windows whose maximum is a 0.0 / -0.0 tie
+        zeros = rng.choice([-1.0, -0.0, 0.0], size=shape)
+        # small integers: ties among equal nonzero values
+        ints = rng.integers(0, 3, size=shape).astype(np.float64)
+        return {"relu": relu, "signed_zeros": zeros, "ints": ints}
+
+    @pytest.mark.parametrize("k,stride,h,w", POOL_CASES)
+    def test_bit_identical_to_window_argmax_reference(self, k, stride, h, w):
+        rng = np.random.default_rng(19)
+        layer = MaxPool2d(k, stride, "p")
+        for name, x in self._inputs(rng, (3, 2, h, w)).items():
+            want, arg = window_argmax_maxpool(x, k, stride)
+            out, cache = layer.forward_cache(x)
+            assert layer.forward(x).tobytes() == want.tobytes(), name
+            assert out.tobytes() == want.tobytes(), name
+            # gradients with -0.0 entries, including at argmax cells
+            grad = np.where(
+                rng.random(want.shape) < 0.3,
+                -0.0,
+                rng.choice([0.0, 1.5, -2.25], size=want.shape) + rng.normal(size=want.shape),
+            )
+            gx, grads = layer.backward(grad, cache)
+            assert grads == {}
+            ref = scatter_maxpool_backward(grad, arg, x.shape, k, stride)
+            assert gx.tobytes() == ref.tobytes(), name
 
 
 class TestAdaptiveAvgPool:

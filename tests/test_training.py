@@ -1,9 +1,12 @@
 """Trainer behavior: determinism, gradients vs finite differences, fine-tuning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from stitchkit.data import Dataset
+import stitchkit.layers
+from stitchkit.data import Dataset, make_synthetic_dataset
 from stitchkit.errors import ConfigError
 from stitchkit.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Softmax
 from stitchkit.network import Network
@@ -92,6 +95,68 @@ class TestTrainNetwork:
         ds = separable_2class()
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="epoch"):
             train_network(tiny_mlp, ds, epochs=5, lr=1e12, seed=16)
+
+
+def pool_cnn(rng, num_classes, input_shape):
+    # overlapping max-pool, then a second conv (its backward runs col2im)
+    # and a max-pool leaving an odd row and column unread
+    c = input_shape[0]
+    layers = [
+        Conv2d(rng.normal(0, 0.2, (5, c, 3, 3)), np.full(5, 0.05), 1, 1, "cv1"),
+        ReLU("r1"),
+        MaxPool2d(3, 2, "mp1"),
+        Conv2d(rng.normal(0, 0.15, (6, 5, 3, 3)), np.full(6, 0.05), 1, 1, "cv2"),
+        ReLU("r2"),
+        MaxPool2d(2, 2, "mp2"),
+        Flatten("fl"),
+        Linear(rng.normal(0, 0.2, (num_classes, 24)), np.zeros(num_classes), "out"),
+        Softmax("sm"),
+    ]
+    return layers, "poolcnn"
+
+
+class TestGoldenTraining:
+    # sha256 of every parameter's bytes plus repr(train_trace), captured
+    # with the im2col/argmax/np.add.at conv and max-pool kernels that the
+    # strided-tap kernels replaced
+    GOLDEN = "b07327c784e2c92443cfbd6581b959b22f166a981ae42df236b1612432f1dd36"
+
+    def test_conv_pool_net_matches_golden_digest(self):
+        ds = make_synthetic_dataset(4, 30, 12, seed=11).train
+        net = train_network(pool_cnn, ds, epochs=6, lr=0.01, seed=5)
+        assert net.train_trace[-1] < net.train_trace[0]
+        h = hashlib.sha256()
+        for layer in net.layers:
+            for _, arr in sorted(layer.params().items()):
+                h.update(arr.tobytes())
+        h.update(repr(net.train_trace).encode())
+        assert h.hexdigest() == self.GOLDEN
+
+    def test_first_conv_forms_no_input_gradient(self, monkeypatch):
+        calls = []
+        real = stitchkit.layers.col2im
+
+        def counting_col2im(cols, x_shape, *args):
+            calls.append(x_shape)
+            return real(cols, x_shape, *args)
+
+        monkeypatch.setattr(stitchkit.layers, "col2im", counting_col2im)
+        ds = make_synthetic_dataset(4, 10, 12, seed=11).train
+        body = train_network(pool_cnn, ds, epochs=0, seed=5).layers[:-1]
+        batch = ds.images[:8]
+        loss, grads = loss_and_grads(body, batch, ds.labels[:8])
+        # only the second conv scatters a gradient back, onto the pooled map
+        assert calls == [(8, 5, 5, 5)]
+        assert sorted(grads) == [0, 3, 7]
+        # the first conv's weight and bias gradients are those of a full backward
+        out, cache = body[0].forward_cache(batch)
+        calls.clear()
+        probe = np.random.default_rng(0).normal(size=out.shape)
+        gx, full = body[0].backward(probe, cache)
+        _, short = body[0].backward(probe, cache, input_grad=False)
+        assert gx.shape == batch.shape and len(calls) == 1
+        for name in ("weight", "bias"):
+            assert short[name].tobytes() == full[name].tobytes()
 
 
 def central_difference_grads(layers, batch, labels, probes, eps=1e-6):

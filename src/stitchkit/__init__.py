@@ -84,8 +84,6 @@ from .stitching import (
 )
 from .tensor_ops import (
     adaptive_avg_pool_1x1,
-    center_columns,
-    matmul,
     resize_spatial,
     solve_projection,
 )

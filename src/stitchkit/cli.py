@@ -9,6 +9,7 @@ any --seed. Exit codes: 0 success (including empty results), 1 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -457,10 +458,15 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _shared_parser():
+    # built once per process: each build leaves argparse objects behind
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)

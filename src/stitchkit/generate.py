@@ -136,8 +136,8 @@ class _Search:
         self.stats.cka_computations += 1
         try:
             score = cka_from_sides(x_side, y_side)
-        except DegenerateActivationsError as e:
-            warnings.warn(f"degenerate joint activations, scoring 0: {e}")
+        except DegenerateActivationsError:
+            warnings.warn(f"degenerate joint activations at candidate {frag.id!r}, scoring 0")
             score = 0.0
         return score, y_raw
 

@@ -226,8 +226,8 @@ class MaxPool2d(Layer):
         _, ho, wo = self.out_shape(x.shape[1:])
         return x, tap_views(x, self.k, self.k, self.stride, ho, wo)
 
-    def forward(self, x):
-        _, taps = self._taps(x)
+    @staticmethod
+    def _running_max(taps):
         out = taps[0].copy()
         for tap in taps[1:]:
             # np.maximum returns its second operand on ties, so the earlier
@@ -235,14 +235,17 @@ class MaxPool2d(Layer):
             np.maximum(tap, out, out=out)
         return out
 
+    def forward(self, x):
+        return self._running_max(self._taps(x)[1])
+
     def forward_cache(self, x):
         x, taps = self._taps(x)
-        out = taps[0].copy()
+        out = self._running_max(taps)
+        # last tap first, so each cell ends at the first tap equal to its
+        # maximum, as with argmax
         arg = np.zeros(out.shape, dtype=np.intp)
-        for t, tap in enumerate(taps[1:], 1):
-            hit = tap > out  # strict: first max wins, a deterministic tie-break
-            np.copyto(out, tap, where=hit)
-            arg[hit] = t
+        for t in range(len(taps) - 1, -1, -1):
+            np.copyto(arg, t, where=taps[t] == out)
         return out, (arg, x.shape)
 
     def backward(self, grad, cache):

@@ -23,21 +23,20 @@ def as_tensor(x, name="tensor"):
     return arr
 
 
-def matmul(a, b):
-    """Matrix product of two 2-D tensors."""
-    a = as_tensor(a, "a")
-    b = as_tensor(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    return a @ b
+def _tap_span(offset, stride, padding, size, out):
+    """Along one axis, the outputs r < out whose input offset + stride*r -
+    padding lies in [0, size): (output slice, input slice), both maybe empty."""
+    lo = max(0, -((offset - padding) // stride))
+    hi = max(lo, min(out, (size - 1 + padding - offset) // stride + 1))
+    start = offset + stride * lo - padding
+    return slice(lo, hi), slice(start, start + stride * (hi - lo), stride)
 
 
-def _padded(x, padding):
-    if padding == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+def _tap_spans(kh, kw, stride, padding, h, w, ho, wo):
+    """Per kernel tap, in order i*kw + j: (out rows, in rows, out cols, in cols)."""
+    rows = [_tap_span(i, stride, padding, h, ho) for i in range(kh)]
+    cols = [_tap_span(j, stride, padding, w, wo) for j in range(kw)]
+    return [r + c for r in rows for c in cols]
 
 
 def tap_views(x, kh, kw, stride, ho, wo):
@@ -47,46 +46,47 @@ def tap_views(x, kh, kw, stride, ho, wo):
     c < wo: the input each output cell reads at tap (i, j). Writing to a
     view writes to x.
     """
-    return [
-        x[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
-        for i in range(kh)
-        for j in range(kw)
-    ]
+    spans = _tap_spans(kh, kw, stride, 0, *x.shape[2:], ho, wo)
+    return [x[:, :, ri, ci] for _, ri, _, ci in spans]
 
 
 def im2col(x, kh, kw, stride, padding):
     """Unfold an NCHW batch into a [C*kh*kw, N*Ho*Wo] patch matrix.
 
     Rows are ordered (c, i, j), matching weight.reshape(O, -1); columns
-    are ordered (n, ho, wo). Built with one strided copy per kernel tap.
+    are ordered (n, ho, wo). Each kernel tap copies the in-bounds
+    sub-rectangle it reads; entries that read padding stay 0.0.
     """
-    xp = _padded(x, padding)
-    n, c, hp, wp = xp.shape
+    n, c, h, w = x.shape
+    hp, wp = h + 2 * padding, w + 2 * padding
     if kh > hp or kw > wp:
         raise DimensionError(
             f"kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    cols = np.empty((c, kh * kw, n, ho, wo))
-    for t, tap in enumerate(tap_views(xp, kh, kw, stride, ho, wo)):
-        cols[:, t] = tap.transpose(1, 0, 2, 3)
+    # without padding every tap covers all of its (ho, wo) columns
+    cols = (np.zeros if padding else np.empty)((c, kh * kw, n, ho, wo))
+    for t, (ro, ri, co, ci) in enumerate(_tap_spans(kh, kw, stride, padding, h, w, ho, wo)):
+        cols[:, t, :, ro, co] = x[:, :, ri, ci].transpose(1, 0, 2, 3)
     return cols.reshape(c * kh * kw, n * ho * wo), (ho, wo)
 
 
 def col2im(cols, x_shape, kh, kw, stride, padding):
-    """Scatter-add a [N*Ho*Wo, C*kh*kw] patch matrix back onto the input grid."""
+    """Scatter-add a [N*Ho*Wo, C*kh*kw] patch matrix back onto the input grid.
+
+    Taps add onto an unpadded NHWC grid in order i*kw + j, each onto the
+    cells it reads, so every cell sums the same values in the same order
+    as on a padded grid.
+    """
     n, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    patches = cols.reshape(n, ho, wo, c, kh, kw)
-    xp = np.zeros((n, c, hp, wp))
-    for t, view in enumerate(tap_views(xp, kh, kw, stride, ho, wo)):
-        view += patches[:, :, :, :, t // kw, t % kw].transpose(0, 3, 1, 2)
-    if padding:
-        xp = xp[:, :, padding : padding + h, padding : padding + w]
-    return np.ascontiguousarray(xp)
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    patches = cols.reshape(n, ho, wo, c, kh * kw)
+    grid = np.zeros((n, h, w, c))
+    for t, (ro, ri, co, ci) in enumerate(_tap_spans(kh, kw, stride, padding, h, w, ho, wo)):
+        grid[:, ri, ci] += patches[:, ro, co, :, t]
+    return np.ascontiguousarray(grid.transpose(0, 3, 1, 2))
 
 
 def adaptive_avg_pool_1x1(x):
@@ -170,13 +170,3 @@ def solve_projection(x, y, ridge=None):
     reg = gram + ridge * np.eye(p)
     a = np.linalg.solve(reg, x @ y.T).T
     return np.ascontiguousarray(a)
-
-
-def center_columns(x):
-    """Remove each row's mean across samples; equals X @ H_n exactly."""
-    x = as_tensor(x, "x")
-    if x.ndim != 2:
-        raise DimensionError(f"center_columns expects a 2-D matrix, got {x.shape}")
-    if x.shape[1] < 1:
-        raise DimensionError("need at least one sample")
-    return x - x.mean(axis=1, keepdims=True)

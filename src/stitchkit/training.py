@@ -65,9 +65,9 @@ class _SGD:
                 key = (i, name)
                 v = self.velocity.get(key)
                 if v is None:
-                    v = np.zeros_like(g)
-                v = self.momentum * v + g
-                self.velocity[key] = v
+                    v = self.velocity[key] = np.zeros_like(g)
+                v *= self.momentum  # in place: the roundings of mu*v + g
+                v += g
                 params[name] -= self.lr * v
 
 

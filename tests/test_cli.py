@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from stitchkit import cli
 from stitchkit.cli import build_parser, main
 from stitchkit.serialize import load_dataset, load_network
 
@@ -262,6 +263,29 @@ class TestUsageErrors:
             assert exc.value.code == 0
             out = capsys.readouterr().out
             assert "default" in out
+
+
+class TestSharedParser:
+    def test_main_builds_the_parser_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_build_parser():
+            calls.append(1)
+            return build_parser()
+
+        cli._shared_parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        out = tmp_path / "d"
+        argv = ["make-data", "--out", str(out), "--classes", "2", "--per-class", "10"]
+        written = []
+        try:
+            for _ in range(2):
+                assert main(argv) == 0
+                written.append([(out / f).read_bytes() for f in ("train.sdat", "test.sdat")])
+        finally:
+            cli._shared_parser.cache_clear()
+        assert written[0] == written[1]
+        assert len(calls) == 1
 
 
 class TestConsoleEntryPoint:

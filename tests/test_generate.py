@@ -1,6 +1,7 @@
 """Composition search: pruning, bounds, determinism, candidate ranking."""
 
 import hashlib
+import re
 from collections import Counter
 
 import numpy as np
@@ -187,8 +188,19 @@ class TestGenerate:
         cfg = GenerationConfig(
             span_k=20, threshold=0.3, samples_m=32, seed=0, starting_ids=["small41"]
         )
-        with pytest.warns(UserWarning, match="degenerate"):
+        with pytest.warns(UserWarning, match="degenerate") as record:
             res = generate(pool, ds, cfg)
+        dead_ids = {f.id for f in pool.fragments if f.source_network_id == "deadnet"}
+        named = [
+            re.fullmatch(
+                r"degenerate joint activations at candidate '(.+)', scoring 0",
+                str(w.message),
+            )
+            for w in record
+            if "degenerate" in str(w.message)
+        ]
+        assert named and all(m is not None for m in named)
+        assert {m.group(1) for m in named} <= dead_ids
         assert res.entries
         assert res.stats.joints_rejected > 0
         for sn, _ in res.entries:

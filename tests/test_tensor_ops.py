@@ -10,24 +10,11 @@ from stitchkit.errors import ConfigError, DimensionError, NumericError
 from stitchkit.layers import Conv2d, MaxPool2d
 from stitchkit.tensor_ops import (
     adaptive_avg_pool_1x1,
-    center_columns,
-    matmul,
+    col2im,
+    im2col,
     resize_spatial,
     solve_projection,
 )
-
-
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
 
 
 def naive_conv2d(x, w, b, stride, padding):
@@ -51,55 +38,6 @@ def naive_conv2d(x, w, b, stride, padding):
                                 )
                     out[ni, oi, hi, wi] = acc + b[oi]
     return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        rng = np.random.default_rng(0)
-        b = rng.normal(size=(3, 5))
-        assert np.array_equal(matmul(np.eye(3), b), b)
-
-    def test_hand_case(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[1.0], [1.0]])
-        assert np.array_equal(out, [[3.0], [7.0]])
-
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() < 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NumericError):
-            matmul(np.array([[np.nan, 1.0]]), np.ones((2, 1)))
-
-    @given(
-        m=st.integers(1, 6),
-        k=st.integers(1, 6),
-        n=st.integers(1, 6),
-        p=st.integers(1, 6),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_associativity(self, m, k, n, p, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(m, k))
-        b = rng.normal(size=(k, n))
-        c = rng.normal(size=(n, p))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        scale = max(1.0, np.abs(left).max())
-        assert np.abs(left - right).max() / scale < 1e-9
-
-    def test_pure(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(4, 4))
-        b = rng.normal(size=(4, 4))
-        assert matmul(a, b).tobytes() == matmul(a, b).tobytes()
 
 
 def conv2d(x, weight, bias, stride, padding):
@@ -146,6 +84,76 @@ class TestConv2d:
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
             conv2d(np.zeros((1, 1, 2, 2)), np.zeros((1, 1, 5, 5)), np.zeros(1), 1, 0)
+
+
+def padded_im2col(x, kh, kw, stride, padding):
+    """Patch matrix from an np.pad copy, one strided slice per tap."""
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    n, c = x.shape[:2]
+    ho = (xp.shape[2] - kh) // stride + 1
+    wo = (xp.shape[3] - kw) // stride + 1
+    cols = np.empty((c, kh, kw, n, ho, wo))
+    for i in range(kh):
+        for j in range(kw):
+            tap = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+            cols[:, i, j] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * ho * wo)
+
+
+def scatter_col2im(dcols, x_shape, kh, kw, stride, padding):
+    """np.add.at of every patch entry onto a padded grid, taps outermost."""
+    n, c, h, w = x_shape
+    ho = (h + 2 * padding - kh) // stride + 1
+    wo = (w + 2 * padding - kw) // stride + 1
+    i, j, ni, ci, r, q = np.indices((kh, kw, n, c, ho, wo))
+    vals = dcols.reshape(n, ho, wo, c, kh, kw).transpose(4, 5, 0, 3, 1, 2)
+    gp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+    np.add.at(gp, (ni, ci, i + stride * r, j + stride * q), vals)
+    return gp[:, :, padding : padding + h, padding : padding + w]
+
+
+# (kh, kw, stride, padding, H, W): every stride/padding/kernel pairing on an
+# odd grid, then 5x5 kernels on 1x1 and 2x2 inputs whose taps can read only
+# padding
+TAP_CASES = [
+    (kh, kw, s, p, 7, 9)
+    for kh, kw in [(1, 1), (2, 3), (3, 3), (5, 5)]
+    for s in (1, 2, 3)
+    for p in (0, 1, 2)
+] + [(5, 5, s, 2, hw, hw) for hw in (1, 2) for s in (1, 2, 3)]
+
+
+class TestTapSpans:
+    @pytest.mark.parametrize("kh,kw,stride,padding,h,w", TAP_CASES)
+    def test_bit_identical_to_padded_references(self, kh, kw, stride, padding, h, w):
+        rng = np.random.default_rng(23)
+        x = rng.normal(size=(2, 3, h, w))
+        cols, (ho, wo) = im2col(x, kh, kw, stride, padding)
+        assert cols.tobytes() == padded_im2col(x, kh, kw, stride, padding).tobytes()
+        dcols = rng.normal(size=(2 * ho * wo, 3 * kh * kw))
+        gx = col2im(dcols, x.shape, kh, kw, stride, padding)
+        want = scatter_col2im(dcols, x.shape, kh, kw, stride, padding)
+        assert gx.flags.c_contiguous
+        assert gx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 2), (3, 1)])
+    def test_conv_never_pads(self, stride, padding, monkeypatch):
+        rng = np.random.default_rng(24)
+        x = rng.normal(size=(2, 3, 7, 8))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+
+        def no_pad(*args, **kwargs):
+            raise AssertionError("np.pad called")
+
+        monkeypatch.setattr(np, "pad", no_pad)
+        layer = Conv2d(w, b, stride, padding)
+        out, cache = layer.forward_cache(x)
+        assert out.tobytes() == layer.forward(x).tobytes()
+        gx, grads = layer.backward(np.ones_like(out), cache)
+        assert gx.shape == x.shape and grads["weight"].shape == w.shape
+        monkeypatch.undo()
+        assert np.abs(out - naive_conv2d(x, w, b, stride, padding)).max() < 1e-10
 
 
 def window_argmax_maxpool(x, k, stride):
@@ -348,18 +356,3 @@ class TestSolveProjection:
         with pytest.raises(NumericError):
             solve_projection(x, y, ridge=0.0)
 
-
-class TestCenterColumns:
-    def test_zero_mean_rows_unchanged(self):
-        x = np.array([[1.0, -1.0], [2.0, -2.0]])
-        assert np.array_equal(center_columns(x), x)
-
-    def test_hand_case(self):
-        assert np.array_equal(center_columns([[1.0, 2.0, 3.0]]), [[-1.0, 0.0, 1.0]])
-
-    def test_matches_centering_matrix_oracle(self):
-        rng = np.random.default_rng(16)
-        x = rng.normal(size=(5, 9))
-        n = x.shape[1]
-        h = np.eye(n) - np.ones((n, n)) / n
-        assert np.abs(center_columns(x) - x @ h).max() < 1e-12

@@ -6,7 +6,7 @@ least-squares projection into the downstream weights (no new parameters,
 no retraining), and assembled by a recursive threshold-pruned search.
 """
 
-from .cka import ActivationMatrix, cka_linear, cka_minibatch, flatten_activations, hsic
+from .cka import cka_linear, cka_minibatch, hsic
 from .data import (
     Dataset,
     LabelMap,

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .data import make_synthetic_dataset, parse_label_map, remap_dataset, superclass_label_map
-from .errors import ConfigError, DimensionError, NumericError, ParseError, StitchkitError
+from .errors import ConfigError, NumericError, ParseError, StitchkitError
 from .evaluate import (
     emit_report,
     ensemble_sweep,
@@ -55,19 +55,7 @@ def _seed(value):
     return value
 
 
-def _ridge(text):
-    if text == "auto":
-        return None
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigError(f"--ridge must be 'auto' or a float, got {text!r}") from None
-    if v < 0:
-        raise ConfigError("--ridge must be >= 0")
-    return v
-
-
-def _label_map(args, dataset):
+def _label_map(args):
     if getattr(args, "label_map", None):
         return parse_label_map(args.label_map)
     return None
@@ -189,7 +177,6 @@ def cmd_generate(args):
         starting_ids=args.starting_ids.split(",") if args.starting_ids else None,
         candidate_strategy=args.strategy,
         seed=_seed(args.seed),
-        ridge=_ridge(args.ridge),
     )
     result = generate(pool, dataset, cfg, with_inference=args.with_inference)
     _write_generation_outputs(result, args.out)
@@ -203,7 +190,7 @@ def cmd_generate(args):
 
 def cmd_evaluate(args):
     dataset = load_dataset(args.data)
-    lm = _label_map(args, dataset)
+    lm = _label_map(args)
     models = []
     for spec in args.models:
         p = Path(spec)
@@ -226,7 +213,7 @@ def cmd_ensemble(args):
     picked_ids = select_ensemble_pool(_results_rows(args.results), cka_min=args.cka_min, k=args.k)
     picked = [load_network(Path(args.results) / f"{sn_id}.snet") for sn_id in picked_ids]
     dataset = load_dataset(args.data)
-    lm = _label_map(args, dataset)
+    lm = _label_map(args)
     if not picked:
         print("no stitched nets above the score threshold; nothing to ensemble")
         write_csv(Path(args.out), ["ensemble_size", "accuracy"], [])
@@ -242,7 +229,7 @@ def cmd_ensemble(args):
 def cmd_report(args):
     result = _load_results_dir(args.results)
     dataset = load_dataset(args.data)
-    lm = _label_map(args, dataset)
+    lm = _label_map(args)
     evals = evaluate_many([sn for sn, _ in result.entries], dataset, lm)
     sweep = None
     if args.ensemble_k:
@@ -390,7 +377,6 @@ def build_parser():
         help="candidate ranking strategy",
     )
     p.add_argument("--starting-ids", default="", help="comma-separated starting fragment/network ids")
-    p.add_argument("--ridge", default="auto", help="projection ridge: 'auto' or a float")
     p.add_argument("--seed", type=int, default=7, help="target-sample selection seed")
     p.add_argument(
         "--with-inference",
@@ -468,19 +454,13 @@ def main(argv=None):
     try:
         args = _shared_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, FileNotFoundError, IsADirectoryError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except DimensionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except NumericError as e:
         print(f"numeric failure: {e}", file=sys.stderr)
         return 3
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except StitchkitError as e:
+    except (StitchkitError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

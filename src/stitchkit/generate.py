@@ -44,7 +44,6 @@ class GenerationConfig:
     starting_ids: list[str] | None = None  # None selects every starting fragment
     candidate_strategy: str = "top_cka"
     seed: int = 0
-    ridge: float | None = None  # None applies the solver's automatic default
 
     def __post_init__(self):
         if self.span_k < 1:
@@ -187,7 +186,6 @@ class _Search:
                 frag,
                 x_q,
                 y_raw,
-                ridge=self.cfg.ridge,
                 joint_cka=joint_cka,
                 terminal_labels=labels,
             )

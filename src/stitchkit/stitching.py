@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cka import ActivationMatrix, cka_linear
+from .cka import cka_linear
 from .errors import ConfigError, DimensionError, UnsupportedJointError
 from .layers import AdaptiveAvgPool1x1, Conv2d, Flatten, Linear, Resize
 from .network import Fragment, forward
@@ -61,8 +61,8 @@ _JOINT_RANKS = {JOINT_LINEAR: (2, 2), JOINT_CONV: (4, 4), JOINT_CONV_LINEAR: (4,
 
 def _features_by_samples(raw, kind):
     if kind == JOINT_CONV:
-        return ActivationMatrix(_channels_by_positions(raw))
-    return ActivationMatrix(np.ascontiguousarray(raw.T))
+        return _channels_by_positions(raw)
+    return np.ascontiguousarray(raw.T)
 
 
 def chain_operand(x_raw, kind, native_shape):
@@ -85,7 +85,7 @@ def native_operand(y_raw, kind):
 
 
 def prepare_joint(x_raw, y_raw, kind):
-    """Raw joint activations -> the matched features-by-samples pair.
+    """Raw joint activations -> the matched features-by-samples arrays.
 
     x_raw is the running chain's output on the target samples, y_raw the
     fragment's native input (forward_upto in its source network). The same
@@ -229,7 +229,7 @@ def start_stitchnet(fragment, source_network):
     )
 
 
-def _fused_fragment(fragment, a_t, kind, y_raw_shape, intercept=None):
+def _fused_fragment(fragment, a_t, kind, y_raw_shape):
     """Deep-copy a fragment with its first trainable layer fused and the
     adapter layers the joint needs at run time."""
     first = fragment.layers[0]
@@ -247,11 +247,9 @@ def _fused_fragment(fragment, a_t, kind, y_raw_shape, intercept=None):
     elif kind == JOINT_CONV_LINEAR:
         adapters.append(AdaptiveAvgPool1x1(name=f"pool_{fragment.source_network_id}"))
         adapters.append(Flatten(name=f"flat_{fragment.source_network_id}"))
-        bias = first.bias.copy() if intercept is None else first.bias + first.weight @ intercept
-        fused = Linear(fuse_linear(first.weight, a_t), bias, first.name)
+        fused = Linear(fuse_linear(first.weight, a_t), first.bias.copy(), first.name)
     elif kind == JOINT_LINEAR:
-        bias = first.bias.copy() if intercept is None else first.bias + first.weight @ intercept
-        fused = Linear(fuse_linear(first.weight, a_t), bias, first.name)
+        fused = Linear(fuse_linear(first.weight, a_t), first.bias.copy(), first.name)
     else:
         raise UnsupportedJointError(f"unknown joint kind {kind!r}")
     layers = [fused] + [l.copy() for l in fragment.layers[1:]]
@@ -264,31 +262,21 @@ def _fused_fragment(fragment, a_t, kind, y_raw_shape, intercept=None):
     )
 
 
-def stitch(q, f, x_raw, y_raw, ridge=None, joint_cka=None, terminal_labels=None, affine=False):
+def stitch(q, f, x_raw, y_raw, joint_cka=None, terminal_labels=None):
     """Append fragment f to stitched net q, fusing the joint projection.
 
     x_raw: q's output activations on the target samples (q(D)); y_raw: f's
     native input activations from its source network on the same samples.
     joint_cka, when given, is recorded without recomputation (the generator
-    has already scored the joint); otherwise it is computed here. affine=True
-    additionally fits an intercept and folds it into the fused layer's bias
-    (linear-input joints only: a constant shift does not commute with a
-    zero-padded convolution).
+    has already scored the joint); otherwise it is computed here. The
+    projection is solve_projection's default fit.
     """
     kind = joint_kind(x_raw, f)
     x_mat, y_mat = prepare_joint(x_raw, y_raw, kind)
     if joint_cka is None:
         joint_cka = cka_linear(x_mat, y_mat)
-    intercept = None
-    if affine:
-        if kind == JOINT_CONV:
-            raise UnsupportedJointError("affine fit is not available for conv joints")
-        ones = np.ones((1, x_mat.values.shape[1]))
-        a_aug = solve_projection(np.vstack([x_mat.values, ones]), y_mat.values, ridge)
-        a, intercept = a_aug[:, :-1], a_aug[:, -1]
-    else:
-        a = solve_projection(x_mat.values, y_mat.values, ridge)
-    adapters, frag = _fused_fragment(f, a.T, kind, np.asarray(y_raw).shape, intercept)
+    a = solve_projection(x_mat, y_mat)
+    adapters, frag = _fused_fragment(f, a.T, kind, np.asarray(y_raw).shape)
     labels = list(q.class_labels)
     if frag.is_terminating:
         labels = list(terminal_labels) if terminal_labels is not None else labels

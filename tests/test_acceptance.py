@@ -120,7 +120,7 @@ def test_criterion_2_projection_fusion():
             x = rng.normal(size=(3, c, 5, 5))
             y = rng.normal(size=(3, qd))
             xm, ym = prepare_joint(x, y, JOINT_CONV_LINEAR)
-            a = solve_projection(xm.values, ym.values, ridge=1e-9)
+            a = solve_projection(xm, ym, ridge=1e-9)
             fused = fuse_linear(w, a.T)
             pooled = adaptive_avg_pool_1x1(x).reshape(3, -1)
             assert np.abs(pooled @ fused.T - (pooled @ a.T) @ w.T).max() < 1e-9
@@ -140,7 +140,7 @@ def test_criterion_3_self_recomposition(zoo, dataset8):
             y_raw = forward_upto(net, frag.start_layer, batch)
             kind = joint_kind(x_raw, frag)
             xm, ym = prepare_joint(x_raw, y_raw, kind)
-            a = solve_projection(xm.values, ym.values)  # default ridge
+            a = solve_projection(xm, ym)  # default ridge
             dim = a.shape[0]
             assert a.shape[0] == a.shape[1]
             assert np.linalg.norm(a - np.eye(dim)) / np.sqrt(dim) <= 1e-2

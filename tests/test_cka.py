@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from stitchkit.cka import (
     _GRAM_SAMPLE_LIMIT,
-    ActivationMatrix,
-    _hsic_terms,
+    _cross_hsic,
     cka_from_sides,
     cka_linear,
     cka_side,
     cka_minibatch,
-    flatten_activations,
     hsic,
 )
 from stitchkit.errors import DegenerateActivationsError, DimensionError
@@ -130,6 +128,10 @@ class TestCkaLinear:
         with pytest.raises(DimensionError):
             cka_linear(np.ones((2, 5)), np.ones((2, 6)))
 
+    def test_requires_two_samples(self):
+        with pytest.raises(DimensionError):
+            cka_linear(np.ones((3, 1)), np.ones((3, 1)))
+
     @given(
         p=st.integers(1, 10),
         q=st.integers(1, 10),
@@ -174,9 +176,11 @@ class TestLargeSamplePath:
 class TestCkaMinibatch:
     def test_single_batch_equals_full_bitwise(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(6, 24))
-        y = rng.normal(size=(4, 24))
-        assert cka_minibatch([x], [y]) == cka_linear(x, y)
+        # 300 samples: above _GRAM_SAMPLE_LIMIT, the feature-space form
+        for n in (24, 300):
+            x = rng.normal(size=(6, n))
+            y = rng.normal(size=(4, n))
+            assert cka_minibatch([x], [y]) == cka_linear(x, y)
 
     def test_identical_batches_give_one(self):
         rng = np.random.default_rng(10)
@@ -205,20 +209,6 @@ class TestCkaMinibatch:
             cka_minibatch([x[:, :4]], [x[:, :6]])
 
 
-class TestActivationMatrix:
-    def test_flatten_batch_first(self):
-        rng = np.random.default_rng(13)
-        batch = rng.normal(size=(6, 2, 3, 3))
-        am = flatten_activations(batch, "frag")
-        assert am.values.shape == (18, 6)
-        assert am.fragment_id == "frag"
-        assert np.array_equal(am.values[:, 0], batch[0].ravel())
-
-    def test_requires_two_samples(self):
-        with pytest.raises(DimensionError):
-            ActivationMatrix(np.ones((3, 1)))
-
-
 class TestUnitRange:
     """Rounding used to carry identical inputs a few ulps past 1."""
 
@@ -226,8 +216,10 @@ class TestUnitRange:
     def test_self_cka_is_exactly_one(self, seed):
         # more than 256 samples: the feature-space form of the HSIC terms
         x = np.random.default_rng(seed).standard_normal((6, 300))
-        num, kk, mm = _hsic_terms(ActivationMatrix(x), ActivationMatrix(x))
-        assert num / np.sqrt(kk * mm) > 1.0  # the unclamped ratio
+        # two sides, as cka_linear makes them; one side paired with itself
+        # takes another BLAS route and gives exactly 1 unclamped
+        a, b = cka_side(x), cka_side(x)
+        assert _cross_hsic(a, b) / np.sqrt(a.self_hsic * b.self_hsic) > 1.0  # the unclamped ratio
         assert cka_linear(x, x) == 1.0
 
     def test_minibatch_scaled_copy_is_exactly_one(self):

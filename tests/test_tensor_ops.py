@@ -8,6 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from stitchkit.errors import ConfigError, DimensionError, NumericError
 from stitchkit.layers import Conv2d, MaxPool2d
+from stitchkit.stitching import _channels_by_positions
 from stitchkit.tensor_ops import (
     adaptive_avg_pool_1x1,
     col2im,
@@ -292,6 +293,33 @@ class TestResizeSpatial:
         assert out.shape == (1, 1, 2, 4)
 
 
+def _duplicated_channels(rng):
+    x = rng.normal(size=(6, 40))
+    return np.vstack([x, x[:3]])
+
+
+def _dead_relu_rows(rng):
+    x = np.maximum(rng.normal(size=(8, 40)), 0.0)
+    x[[1, 5]] = 0.0
+    return x
+
+
+def _correlated_conv_fold(rng):
+    # 6 channels mixed from 2 maps: a rank-2 channel space plus noise
+    maps = rng.normal(size=(4, 2, 5, 5))
+    x = np.einsum("cr,nrhw->nchw", rng.normal(size=(6, 2)), maps)
+    return _channels_by_positions(x + 1e-3 * rng.normal(size=x.shape))
+
+
+# features-by-samples operands whose Gram X X^T is singular or ill-conditioned
+_HARD_OPERANDS = {
+    "duplicated_channels": _duplicated_channels,
+    "dead_relu_rows": _dead_relu_rows,
+    "features_exceed_samples": lambda rng: rng.normal(size=(64, 32)),
+    "correlated_conv_fold": _correlated_conv_fold,
+}
+
+
 class TestSolveProjection:
     def test_identity_input_returns_y(self):
         rng = np.random.default_rng(10)
@@ -340,6 +368,20 @@ class TestSolveProjection:
         b = rng.normal(size=(3, 4))
         a = solve_projection(x, b @ x)  # ridge=None -> automatic default
         assert np.abs(a - b).max() < 1e-5
+
+    @pytest.mark.parametrize("case", sorted(_HARD_OPERANDS))
+    def test_default_residual_matches_lstsq(self, case):
+        # the default solve, the only one the search uses, fits as well as
+        # min-norm least squares on the operand shapes joints produce
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            x = _HARD_OPERANDS[case](rng)
+            y = rng.normal(size=(5, x.shape[0])) @ x + 0.1 * rng.normal(size=(5, x.shape[1]))
+            exact, *_ = np.linalg.lstsq(x.T, y.T, rcond=None)
+            norm = np.linalg.norm(y)
+            want = np.linalg.norm(y - exact.T @ x) / norm
+            got = np.linalg.norm(y - solve_projection(x, y) @ x) / norm
+            assert got <= want + 1e-6
 
     def test_sample_count_mismatch(self):
         with pytest.raises(DimensionError):

@@ -67,11 +67,14 @@ def _results_rows(path):
     if not csv.exists():
         raise ParseError(f"no results.csv under {path}")
     rows = []
-    for line in csv.read_text(encoding="ascii").splitlines()[1:]:
+    for lineno, line in enumerate(csv.read_bytes().splitlines()[1:], start=2):
         if not line:
             continue
-        sn_id, score = line.split(",")[:2]
-        rows.append((sn_id, float(score)))
+        try:  # UnicodeDecodeError is a ValueError too
+            sn_id, score = line.decode("ascii").split(",")[:2]
+            rows.append((sn_id, float(score)))
+        except ValueError:
+            raise ParseError(f"{csv}:{lineno}: expected 'id,score,...', got {line!r}") from None
     return rows
 
 

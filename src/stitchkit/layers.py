@@ -1,16 +1,22 @@
 """Layer kinds for sequential networks.
 
-Each layer knows its forward pass, its backward pass (for the trainer),
-its static output shape (for network validation), and how to copy itself.
-Activation shapes are tracked without the batch axis: (C, H, W) for
-feature maps, (F,) for flat vectors.
+Each layer knows its forward pass, its backward pass (for the trainer) and
+its static output shape (for network validation). Activation shapes are
+tracked without the batch axis: (C, H, W) for feature maps, (F,) for flat
+vectors.
+
+A kind is declared once, on its class: `kind`, `weight_ndim` (0 for kinds
+without parameters) and `hyper`, the hyperparameter names in constructor
+order. A constructor takes the weight and bias (if weight_ndim), then the
+`hyper` values, then `name`. The .snet format, the prefix-tree key and
+copy() read that declaration, and LAYER_KINDS maps each kind to its class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .tensor_ops import (
     adaptive_avg_pool_1x1,
     as_tensor,
@@ -20,11 +26,23 @@ from .tensor_ops import (
     tap_views,
 )
 
-TRAINABLE_KINDS = ("linear", "conv2d")
-
 
 class Layer:
     kind = "layer"
+    weight_ndim = 0
+    hyper = ()
+
+    def _set_params(self, weight, bias):
+        self.weight = as_tensor(weight, "weight")
+        self.bias = as_tensor(bias, "bias")
+        if self.weight.ndim != self.weight_ndim:
+            raise DimensionError(
+                f"{self.kind} weight must be {self.weight_ndim}-D, got {self.weight.shape}"
+            )
+        if self.bias.shape != (self.weight.shape[0],):
+            raise DimensionError(
+                f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
+            )
 
     def forward(self, x):
         raise NotImplementedError
@@ -40,29 +58,29 @@ class Layer:
 
     @property
     def n_params(self):
-        return 0
+        return sum(arr.size for arr in self.params().values())
 
     def params(self):
         """Mutable parameter arrays, name -> ndarray."""
-        return {}
+        return {"weight": self.weight, "bias": self.bias} if self.weight_ndim else {}
 
-    def copy(self):
-        return self
+    def copy(self, weight=None, bias=None):
+        """This layer with fresh parameter arrays; a given array replaces the
+        layer's own and is taken as is. Parameter-free layers are shared."""
+        if not self.weight_ndim:
+            return self
+        weight = self.weight.copy() if weight is None else weight
+        bias = self.bias.copy() if bias is None else bias
+        return type(self)(weight, bias, *[getattr(self, h) for h in self.hyper], name=self.name)
 
 
 class Linear(Layer):
     kind = "linear"
+    weight_ndim = 2
 
     def __init__(self, weight, bias, name="linear"):
-        self.weight = as_tensor(weight, "weight")
-        self.bias = as_tensor(bias, "bias")
         self.name = name
-        if self.weight.ndim != 2:
-            raise DimensionError(f"linear weight must be 2-D, got {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise DimensionError(
-                f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
-            )
+        self._set_params(weight, bias)
 
     @property
     def out_features(self):
@@ -94,32 +112,21 @@ class Linear(Layer):
             raise DimensionError(f"linear '{self.name}' cannot take shape {in_shape}")
         return (self.out_features,)
 
-    @property
-    def n_params(self):
-        return self.weight.size + self.bias.size
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def copy(self):
-        return Linear(self.weight.copy(), self.bias.copy(), self.name)
-
 
 class Conv2d(Layer):
     kind = "conv2d"
+    weight_ndim = 4
+    hyper = ("stride", "padding")
 
     def __init__(self, weight, bias, stride=1, padding=0, name="conv"):
-        self.weight = as_tensor(weight, "weight")
-        self.bias = as_tensor(bias, "bias")
         self.stride = int(stride)
         self.padding = int(padding)
         self.name = name
-        if self.weight.ndim != 4:
-            raise DimensionError(f"conv weight must be 4-D, got {self.weight.shape}")
-        if self.bias.shape != (self.weight.shape[0],):
-            raise DimensionError(
-                f"bias shape {self.bias.shape} does not match weight {self.weight.shape}"
+        if self.stride < 1 or self.padding < 0:
+            raise ConfigError(
+                f"conv2d '{name}': stride {self.stride} must be at least 1, padding {self.padding} at least 0"
             )
+        self._set_params(weight, bias)
 
     @property
     def out_channels(self):
@@ -179,16 +186,6 @@ class Conv2d(Layer):
             raise DimensionError(f"conv '{self.name}' output collapses on {in_shape}")
         return (o, ho, wo)
 
-    @property
-    def n_params(self):
-        return self.weight.size + self.bias.size
-
-    def params(self):
-        return {"weight": self.weight, "bias": self.bias}
-
-    def copy(self):
-        return Conv2d(self.weight.copy(), self.bias.copy(), self.stride, self.padding, self.name)
-
 
 class ReLU(Layer):
     kind = "relu"
@@ -212,11 +209,14 @@ class ReLU(Layer):
 
 class MaxPool2d(Layer):
     kind = "maxpool2d"
+    hyper = ("k", "stride")
 
     def __init__(self, k, stride=None, name="pool"):
         self.k = int(k)
         self.stride = int(stride) if stride is not None else int(k)
         self.name = name
+        if self.k < 1 or self.stride < 1:
+            raise ConfigError(f"maxpool2d '{name}': k {self.k} and stride {self.stride} must be at least 1")
 
     def _taps(self, x):
         """Checked 4-D input and its k*k tap views, row-major over the window."""
@@ -338,11 +338,14 @@ class Resize(Layer):
     """Spatial resampling adapter inserted at conv-to-conv joints."""
 
     kind = "resize"
+    hyper = ("target_h", "target_w")
 
     def __init__(self, target_h, target_w, name="resize"):
         self.target_h = int(target_h)
         self.target_w = int(target_w)
         self.name = name
+        if self.target_h < 1 or self.target_w < 1:
+            raise ConfigError(f"resize '{name}': target {self.target_h}x{self.target_w} must be at least 1")
 
     def forward(self, x):
         return resize_spatial(x, self.target_h, self.target_w)
@@ -351,6 +354,13 @@ class Resize(Layer):
         if len(in_shape) != 3:
             raise DimensionError(f"resize '{self.name}' cannot take shape {in_shape}")
         return (in_shape[0], self.target_h, self.target_w)
+
+
+LAYER_KINDS = {
+    cls.kind: cls
+    for cls in (Linear, Conv2d, ReLU, MaxPool2d, AdaptiveAvgPool1x1, Flatten, Softmax, Resize)
+}
+TRAINABLE_KINDS = tuple(kind for kind, cls in LAYER_KINDS.items() if cls.weight_ndim)
 
 
 def softmax_probs(logits):

@@ -170,9 +170,6 @@ def forward_taps(network, layer_indices, batch):
     return taps
 
 
-_HYPERPARAMS = ("stride", "padding", "k", "target_h", "target_w")
-
-
 def _layer_key(layer):
     """Equal keys mean the same function: kind, name, hyperparameters and
     the exact bytes of every parameter. Objects without params() (stand-ins
@@ -183,7 +180,7 @@ def _layer_key(layer):
     params = tuple(
         (name, arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in sorted(layer.params().items())
     )
-    hyper = tuple(getattr(layer, attr, None) for attr in _HYPERPARAMS)
+    hyper = tuple(getattr(layer, attr) for attr in layer.hyper)
     return (layer.kind, layer.name, hyper, params)
 
 

@@ -5,12 +5,15 @@ followed by one little-endian float64 blob holding every weight tensor in
 declaration order. Round-trips are bit-exact; the header is diffable and
 trivially parsed from any language. Parse failures report byte offsets.
 
-Layer line grammar (`layer <kind> <name> <params...>`):
+A layer line is `layer <kind> <name> <weight shape...> <hyper...>`: the
+weight's weight_ndim dimensions, then the values of the class's `hyper`
+names in order (see layers.py), all integers. So a new layer kind needs
+only its class declaration:
     linear          out in
     conv2d          out in kh kw stride padding
     maxpool2d       k stride
     resize          target_h target_w
-    relu / flatten / adaptiveavgpool / softmax    (no params)
+    relu / flatten / adaptiveavgpool / softmax    (nothing)
 """
 
 from __future__ import annotations
@@ -20,16 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, ParseError
-from .layers import (
-    AdaptiveAvgPool1x1,
-    Conv2d,
-    Flatten,
-    Linear,
-    MaxPool2d,
-    ReLU,
-    Resize,
-    Softmax,
-)
+from .layers import LAYER_KINDS
 from .network import Fragment, FragmentPool, Network, fragmentize
 from .stitching import ProvenanceEntry, StitchNet
 
@@ -47,20 +41,12 @@ def _check_token(tok, what):
 
 
 def _layer_line(layer):
+    if LAYER_KINDS.get(layer.kind) is not type(layer):
+        raise ConfigError(f"cannot serialize layer kind {layer.kind!r}")
     name = _check_token(layer.name, "layer name")
-    if layer.kind == "linear":
-        o, i = layer.weight.shape
-        return f"layer linear {name} {o} {i}"
-    if layer.kind == "conv2d":
-        o, c, kh, kw = layer.weight.shape
-        return f"layer conv2d {name} {o} {c} {kh} {kw} {layer.stride} {layer.padding}"
-    if layer.kind == "maxpool2d":
-        return f"layer maxpool2d {name} {layer.k} {layer.stride}"
-    if layer.kind == "resize":
-        return f"layer resize {name} {layer.target_h} {layer.target_w}"
-    if layer.kind in ("relu", "flatten", "adaptiveavgpool", "softmax"):
-        return f"layer {layer.kind} {name}"
-    raise ConfigError(f"cannot serialize layer kind {layer.kind!r}")
+    dims = layer.weight.shape if layer.weight_ndim else ()
+    hyper = (getattr(layer, h) for h in layer.hyper)
+    return " ".join(["layer", layer.kind, name, *map(str, dims), *map(str, hyper)])
 
 
 def _chain_tensors(chain):
@@ -123,35 +109,22 @@ class _Reader:
 def _parse_layer(toks, r, start):
     if toks[0] != "layer" or len(toks) < 3:
         r.fail(f"malformed layer line: {' '.join(toks)!r}", start)
-    kind, name = toks[1], toks[2]
-    args = toks[3:]
-
-    def ints(n):
-        if len(args) != n:
-            r.fail(f"layer {kind} expects {n} parameters, got {len(args)}", start)
-        return [r.intval(a, f"layer {name}", start) for a in args]
-
-    if kind == "linear":
-        o, i = ints(2)
-        return Linear(np.zeros((o, i)), np.zeros(o), name)
-    if kind == "conv2d":
-        o, c, kh, kw, stride, padding = ints(6)
-        return Conv2d(np.zeros((o, c, kh, kw)), np.zeros(o), stride, padding, name)
-    if kind == "maxpool2d":
-        k, stride = ints(2)
-        return MaxPool2d(k, stride, name)
-    if kind == "resize":
-        th, tw = ints(2)
-        return Resize(th, tw, name)
-    if kind == "relu":
-        return ReLU(name)
-    if kind == "flatten":
-        return Flatten(name)
-    if kind == "adaptiveavgpool":
-        return AdaptiveAvgPool1x1(name)
-    if kind == "softmax":
-        return Softmax(name)
-    r.fail(f"unknown layer kind {kind!r}", start)
+    kind, name, args = toks[1], toks[2], toks[3:]
+    cls = LAYER_KINDS.get(kind)
+    if cls is None:
+        r.fail(f"unknown layer kind {kind!r}", start)
+    n = cls.weight_ndim
+    if len(args) != n + len(cls.hyper):
+        r.fail(f"layer {kind} expects {n + len(cls.hyper)} parameters, got {len(args)}", start)
+    ints = [r.intval(a, f"layer {name}", start) for a in args]
+    if n and min(ints[:n]) < 1:
+        r.fail(f"layer {name}: weight shape {tuple(ints[:n])} must be at least 1 in every axis", start)
+    try:
+        if n:
+            return cls(np.zeros(ints[:n]), np.zeros(ints[0]), *ints[n:], name=name)
+        return cls(*ints, name=name)
+    except ConfigError as e:
+        r.fail(f"bad layer: {e}", start)
 
 
 def _first_non_finite(flat):
@@ -424,8 +397,11 @@ def load_pool_manifest(path):
     path = Path(path)
     if not path.exists():
         raise ParseError(f"pool manifest not found: {path}")
-    text = path.read_text(encoding="ascii")
-    lines = text.splitlines()
+    data = path.read_bytes()
+    try:
+        lines = data.decode("ascii").splitlines()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: non-ASCII bytes in pool manifest", e.start) from None
     if not lines or not lines[0].startswith(MANIFEST_MAGIC):
         raise ParseError(f"{path}: not a pool manifest", 0)
     nets, frags = [], []

@@ -24,7 +24,7 @@ import numpy as np
 
 from .cka import cka_linear
 from .errors import ConfigError, DimensionError, UnsupportedJointError
-from .layers import AdaptiveAvgPool1x1, Conv2d, Flatten, Linear, Resize
+from .layers import AdaptiveAvgPool1x1, Flatten, Resize
 from .network import Fragment, forward
 from .tensor_ops import adaptive_avg_pool_1x1, as_tensor, resize_spatial, solve_projection
 
@@ -232,34 +232,18 @@ def start_stitchnet(fragment, source_network):
 def _fused_fragment(fragment, a_t, kind, y_raw_shape):
     """Deep-copy a fragment with its first trainable layer fused and the
     adapter layers the joint needs at run time."""
-    first = fragment.layers[0]
-    adapters = []
+    src = fragment.source_network_id
     if kind == JOINT_CONV:
-        th, tw = int(y_raw_shape[2]), int(y_raw_shape[3])
-        adapters.append(Resize(th, tw, name=f"fit_{fragment.source_network_id}"))
-        fused = Conv2d(
-            fuse_conv(first.weight, a_t),
-            first.bias.copy(),
-            first.stride,
-            first.padding,
-            first.name,
-        )
+        adapters, fuse = [Resize(int(y_raw_shape[2]), int(y_raw_shape[3]), name=f"fit_{src}")], fuse_conv
     elif kind == JOINT_CONV_LINEAR:
-        adapters.append(AdaptiveAvgPool1x1(name=f"pool_{fragment.source_network_id}"))
-        adapters.append(Flatten(name=f"flat_{fragment.source_network_id}"))
-        fused = Linear(fuse_linear(first.weight, a_t), first.bias.copy(), first.name)
+        adapters, fuse = [AdaptiveAvgPool1x1(name=f"pool_{src}"), Flatten(name=f"flat_{src}")], fuse_linear
     elif kind == JOINT_LINEAR:
-        fused = Linear(fuse_linear(first.weight, a_t), first.bias.copy(), first.name)
+        adapters, fuse = [], fuse_linear
     else:
         raise UnsupportedJointError(f"unknown joint kind {kind!r}")
-    layers = [fused] + [l.copy() for l in fragment.layers[1:]]
-    return adapters, Fragment(
-        fragment.source_network_id,
-        fragment.start_layer,
-        fragment.end_layer,
-        fragment.kind,
-        layers,
-    )
+    first = fragment.layers[0]
+    layers = [first.copy(weight=fuse(first.weight, a_t))] + [l.copy() for l in fragment.layers[1:]]
+    return adapters, Fragment(src, fragment.start_layer, fragment.end_layer, fragment.kind, layers)
 
 
 def stitch(q, f, x_raw, y_raw, joint_cka=None, terminal_labels=None):

@@ -18,7 +18,7 @@ DEFAULT_RIDGE_SCALE = 1e-8
 def as_tensor(x, name="tensor"):
     """Coerce to a C-contiguous float64 array, rejecting NaN/Inf."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite values")
     return arr
 

@@ -3,13 +3,16 @@
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from stitchkit import cli
 from stitchkit.cli import build_parser, main
-from stitchkit.serialize import load_dataset, load_network
+from stitchkit.layers import Conv2d, Flatten
+from stitchkit.network import Network
+from stitchkit.serialize import load_dataset, load_network, save_network
 
 
 def run_cli(*argv):
@@ -224,6 +227,42 @@ class TestEvaluateEnsembleReport:
             assert len((report / name).read_text().splitlines()) == 1
 
 
+class TestBadInputExitTwo:
+    def test_bad_layer_integer(self, tmp_path, data_dir, capsys):
+        rng = np.random.default_rng(3)
+        net = Network(
+            [Conv2d(rng.normal(size=(2, 1, 3, 3)), np.zeros(2), 1, 1, "c"), Flatten("f")],
+            (1, 16, 16),
+            [],
+            "n",
+        )
+        data = save_network(net, tmp_path / "n.snet").read_bytes()
+        (tmp_path / "bad.snet").write_bytes(data.replace(b"3 3 1 1", b"3 3 0 1"))
+        rc = run_cli(
+            "evaluate", "--models", str(tmp_path / "bad.snet"),
+            "--data", str(data_dir / "test.sdat"), "--out", str(tmp_path / "e.csv"),
+        )
+        assert rc == 2
+        assert f"byte offset {data.index(b'layer conv2d')}" in capsys.readouterr().err
+
+    def test_non_ascii_manifest(self, tmp_path, capsys):
+        manifest = tmp_path / "pool.manifest"
+        manifest.write_bytes("SPOOL 1\nnet café.snet\n".encode("utf-8"))
+        rc = run_cli("generate", "--pool", str(manifest), "--out", str(tmp_path / "g"))
+        assert rc == 2
+        assert "byte offset 15" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["ensemble", "report"])
+    @pytest.mark.parametrize("row", ["sn000,high,1,10,a:0-1", "sn000", "sné,0.5"])
+    def test_bad_results_row(self, tmp_path, capsys, command, row):
+        gen = tmp_path / "gen"
+        gen.mkdir()
+        (gen / "results.csv").write_text(f"stitchnet_id,score\nsn001,0.5\n{row}\n", encoding="utf-8")
+        rc = run_cli(command, "--results", str(gen), "--out", str(tmp_path / "out"))
+        assert rc == 2
+        assert "results.csv:3" in capsys.readouterr().err
+
+
 class TestNumericFailure:
     def test_divergent_training_exit_three(self, tmp_path, data_dir, capsys):
         with np.errstate(over="ignore"):
@@ -290,7 +329,10 @@ class TestSharedParser:
 
 class TestConsoleEntryPoint:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
+        # the child imports the stitchkit under test, also when only pytest's
+        # pythonpath setting puts it on the path
+        src = str(Path(cli.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "stitchkit.cli", "make-data", "--out",
              str(tmp_path / "d"), "--per-class", "8"],

@@ -5,8 +5,19 @@ import pytest
 
 from stitchkit.data import make_synthetic_dataset
 from stitchkit.errors import ConfigError, ParseError
-from stitchkit.layers import Conv2d, Flatten, Linear, MaxPool2d, ReLU, Softmax
-from stitchkit.network import Network, build_pool, forward, models_equal
+from stitchkit.layers import (
+    LAYER_KINDS,
+    AdaptiveAvgPool1x1,
+    Conv2d,
+    Flatten,
+    Layer,
+    Linear,
+    MaxPool2d,
+    ReLU,
+    Resize,
+    Softmax,
+)
+from stitchkit.network import Network, _layer_key, build_pool, forward, models_equal
 from stitchkit.serialize import (
     load_dataset,
     load_network,
@@ -133,6 +144,25 @@ class TestMalformedFiles:
         assert err.value.offset is not None
 
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (b"layer linear fc1 5 64", b"layer linear fc1 -3 64"),
+            (b"layer maxpool2d p1 2 2", b"layer maxpool2d p1 0 2"),
+            (b"layer maxpool2d p1 2 2", b"layer maxpool2d p1 2 0"),
+            (b"layer conv2d c1 4 1 3 3 1 1", b"layer conv2d c1 4 1 3 3 0 1"),
+            (b"layer conv2d c1 4 1 3 3 1 1", b"layer conv2d c1 4 1 3 3 1 -1"),
+        ],
+    )
+    def test_bad_layer_integers_name_the_layer_line(self, tmp_path, old, new):
+        data = save_network(sample_net(12), tmp_path / "n.snet").read_bytes()
+        assert old in data
+        (tmp_path / "bad.snet").write_bytes(data.replace(old, new))
+        with pytest.raises(ParseError, match="must be at least 1") as err:
+            load_network(tmp_path / "bad.snet")
+        assert err.value.offset == data.index(old)
+
+
 def _poke_float(path, index, value):
     """Overwrite float number index of a file's trailing blob; returns its byte offset."""
     data = bytearray(path.read_bytes())
@@ -255,3 +285,69 @@ class TestPoolManifest:
         manifest = save_pool_manifest(["ghost.snet"], tmp_path / "pool.manifest")
         with pytest.raises((ParseError, FileNotFoundError)):
             load_pool_manifest(manifest)
+
+
+# one instance of every declared kind, the input it runs on, and its header line
+KIND_SAMPLES = {
+    "linear": (lambda w: Linear(w(2, 3), w(2), "l"), (3,), "layer linear l 2 3"),
+    "conv2d": (lambda w: Conv2d(w(2, 1, 3, 3), w(2), 1, 1, "c"), (1, 5, 5), "layer conv2d c 2 1 3 3 1 1"),
+    "relu": (lambda w: ReLU("r"), (3,), "layer relu r"),
+    "maxpool2d": (lambda w: MaxPool2d(2, 1, "p"), (1, 4, 4), "layer maxpool2d p 2 1"),
+    "adaptiveavgpool": (lambda w: AdaptiveAvgPool1x1("g"), (1, 4, 4), "layer adaptiveavgpool g"),
+    "flatten": (lambda w: Flatten("f"), (1, 4, 4), "layer flatten f"),
+    "softmax": (lambda w: Softmax("s"), (3,), "layer softmax s"),
+    "resize": (lambda w: Resize(3, 5, "z"), (1, 4, 4), "layer resize z 3 5"),
+}
+
+
+class TestLayerDeclaration:
+    def test_every_kind_has_a_sample(self):
+        assert set(KIND_SAMPLES) == set(LAYER_KINDS)
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_header_line_and_reload(self, tmp_path, kind):
+        rng = np.random.default_rng(len(kind))
+        make, in_shape, line = KIND_SAMPLES[kind]
+        layer = make(lambda *shape: rng.normal(size=shape))
+        assert type(layer) is LAYER_KINDS[kind]
+        path = save_network(Network([layer], in_shape, [], "one"), tmp_path / "one.snet")
+        header = path.read_bytes().split(b"\nblob ")[0].decode("ascii").splitlines()
+        assert header[-1] == line
+        assert _layer_key(load_network(path).layers[0]) == _layer_key(layer)
+
+    @pytest.mark.parametrize("kind", sorted(LAYER_KINDS))
+    def test_copy_owns_its_arrays(self, kind):
+        rng = np.random.default_rng(len(kind))
+        layer = KIND_SAMPLES[kind][0](lambda *shape: rng.normal(size=shape))
+        twin = layer.copy()
+        assert _layer_key(twin) == _layer_key(layer)
+        for name, arr in twin.params().items():
+            assert not np.shares_memory(arr, layer.params()[name])
+
+    @pytest.mark.parametrize("kind", [k for k in sorted(LAYER_KINDS) if LAYER_KINDS[k].weight_ndim])
+    def test_copy_with_weight_keeps_the_rest(self, kind):
+        rng = np.random.default_rng(len(kind))
+        layer = KIND_SAMPLES[kind][0](lambda *shape: rng.normal(size=shape))
+        weight = layer.weight + 1.0
+        twin = layer.copy(weight=weight)
+        assert type(twin) is type(layer) and twin.name == layer.name
+        assert [getattr(twin, h) for h in layer.hyper] == [getattr(layer, h) for h in layer.hyper]
+        assert twin.weight.tobytes() == weight.tobytes()
+        assert twin.bias.tobytes() == layer.bias.tobytes()
+        assert not np.shares_memory(twin.bias, layer.bias)
+
+    def test_undeclared_layer_cannot_be_serialized(self, tmp_path):
+        class Custom(Layer):
+            kind = "custom"
+            name = "x"
+
+            def out_shape(self, in_shape):
+                return in_shape
+
+        class LinearTwin(Linear):
+            pass
+
+        rng = np.random.default_rng(0)
+        for layer in (Custom(), LinearTwin(rng.normal(size=(2, 3)), np.zeros(2), "t")):
+            with pytest.raises(ConfigError, match="cannot serialize"):
+                save_network(Network([layer], (3,), [], "odd"), tmp_path / "odd.snet")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, DimensionError, ParseError
 from .layers import LAYER_KINDS
 from .network import Fragment, FragmentPool, Network, fragmentize
 from .stitching import ProvenanceEntry, StitchNet
@@ -242,15 +242,18 @@ def _load_stitchnet(r, model_id, input_shape, class_labels):
             r.fail(f"bad fragment: {e}", start)
         adapters.append(adapt)
         provenance.append(ProvenanceEntry(src, lo, hi, cka))
-    sn = StitchNet(
-        fragments=fragments,
-        adapters=adapters,
-        cumulative_score=score,
-        provenance=provenance,
-        input_shape=input_shape,
-        class_labels=class_labels,
-        id=model_id,
-    )
+    try:
+        sn = StitchNet(
+            fragments=fragments,
+            adapters=adapters,
+            cumulative_score=score,
+            provenance=provenance,
+            input_shape=input_shape,
+            class_labels=class_labels,
+            id=model_id,
+        )
+    except ConfigError as e:
+        r.fail(f"inconsistent stitched network: {e}")
     _read_blob(r, sn.chain)
     return sn
 
@@ -290,7 +293,7 @@ def load_network(path):
     layers = [_parse_layer(*_next_layer(r)) for _ in range(n_layers)]
     try:
         net = Network(layers, input_shape, labels, model_id)
-    except ConfigError as e:
+    except (ConfigError, DimensionError) as e:
         r.fail(f"inconsistent network: {e}")
     _read_blob(r, net.layers)
     return net

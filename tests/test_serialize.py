@@ -143,7 +143,6 @@ class TestMalformedFiles:
             load_network(tmp_path / "cut.snet")
         assert err.value.offset is not None
 
-
     @pytest.mark.parametrize(
         "old, new",
         [
@@ -161,6 +160,22 @@ class TestMalformedFiles:
         with pytest.raises(ParseError, match="must be at least 1") as err:
             load_network(tmp_path / "bad.snet")
         assert err.value.offset == data.index(old)
+
+    @pytest.mark.parametrize("shape", [b"input_shape 2 8 8", b"input_shape 1 -8 8"])
+    def test_input_shape_that_does_not_fit_is_parse_error(self, tmp_path, shape):
+        data = save_network(sample_net(13), tmp_path / "n.snet").read_bytes()
+        bad = data.replace(b"input_shape 1 8 8", shape)
+        (tmp_path / "bad.snet").write_bytes(bad)
+        with pytest.raises(ParseError, match="inconsistent network") as err:
+            load_network(tmp_path / "bad.snet")
+        assert err.value.offset == bad.index(b"blob ")
+
+    def test_stitchnet_without_fragments_is_parse_error(self, tmp_path):
+        header = "SNET 1\nkind stitchnet\nid s\ninput_shape 3\nclass_labels 0\nscore 1.0\nfragments 0\n"
+        (tmp_path / "s.snet").write_bytes(f"{header}blob 0\n".encode("ascii"))
+        with pytest.raises(ParseError, match="must begin with a starting fragment") as err:
+            load_network(tmp_path / "s.snet")
+        assert err.value.offset == len(header)
 
 
 def _poke_float(path, index, value):

@@ -80,8 +80,7 @@ def cka_side(x):
 
     Computed once, a side serves every pairing through cka_from_sides.
     Non-finite values raise NumericError; an operand that is not 2-D or
-    has fewer than 2 samples raises DimensionError. The Gram form also
-    gets hsic's square and symmetry checks here, once.
+    has fewer than 2 samples raises DimensionError.
     """
     x = as_tensor(x, "activations")
     if x.ndim != 2:
@@ -91,7 +90,7 @@ def cka_side(x):
         raise DimensionError(f"need >= 2 samples to center, got {n}")
     scale = (n - 1) ** 2
     if n <= _GRAM_SAMPLE_LIMIT:
-        centred = _center_gram(_checked_gram(x.T @ x, "Gram"))
+        centred = _center_gram(x.T @ x)
         self_hsic = float((centred * centred).sum() / scale)
     else:
         centred = x - x.mean(axis=1, keepdims=True)

@@ -31,6 +31,7 @@ from .stitching import (
     start_stitchnet,
     stitch,
 )
+from .tensor_ops import as_tensor
 
 STRATEGIES = ("top_cka", "fewest_params")
 
@@ -194,6 +195,7 @@ class _Search:
             x_q2 = x_q
             for layer in segment:
                 x_q2 = layer.forward(x_q2)
+            x_q2 = as_tensor(x_q2, f"output of stitched chain {q2.provenance_key}")
             if frag.is_terminating:
                 stats.stitchnets_emitted += 1
                 outputs = x_q2 if self.with_inference else None

@@ -91,7 +91,6 @@ class Linear(Layer):
         return self.weight.shape[1]
 
     def forward(self, x):
-        x = as_tensor(x, "input")
         if x.ndim != 2 or x.shape[1] != self.in_features:
             raise DimensionError(
                 f"expected [N, {self.in_features}] input, got {x.shape}"
@@ -99,8 +98,7 @@ class Linear(Layer):
         return x @ self.weight.T + self.bias
 
     def forward_cache(self, x):
-        out = self.forward(x)
-        return out, x
+        return self.forward(x), x
 
     def backward(self, grad, cache, input_grad=True):
         x = cache
@@ -137,8 +135,7 @@ class Conv2d(Layer):
         return self.weight.shape[1]
 
     def _cols(self, x):
-        """Patch matrix [C*kh*kw, N*Ho*Wo] of a checked input, and the NCHW output shape."""
-        x = as_tensor(x, "input")
+        """Patch matrix [C*kh*kw, N*Ho*Wo] of an input, and the NCHW output shape."""
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise DimensionError(
                 f"expected [N, {self.in_channels}, H, W] input, got {x.shape}"
@@ -161,7 +158,7 @@ class Conv2d(Layer):
     def forward_cache(self, x):
         cols, shape = self._cols(x)
         out = self._nchw(self.weight.reshape(self.out_channels, -1) @ cols, shape)
-        return out, (cols, np.shape(x))
+        return out, (cols, x.shape)
 
     def backward(self, grad, cache, input_grad=True):
         cols, x_shape = cache
@@ -194,7 +191,7 @@ class ReLU(Layer):
         self.name = name
 
     def forward(self, x):
-        return np.maximum(as_tensor(x, "input"), 0.0)
+        return np.maximum(x, 0.0)
 
     def forward_cache(self, x):
         out = self.forward(x)
@@ -219,12 +216,11 @@ class MaxPool2d(Layer):
             raise ConfigError(f"maxpool2d '{name}': k {self.k} and stride {self.stride} must be at least 1")
 
     def _taps(self, x):
-        """Checked 4-D input and its k*k tap views, row-major over the window."""
-        x = as_tensor(x, "input")
+        """The k*k tap views of a 4-D input, row-major over the window."""
         if x.ndim != 4:
             raise DimensionError(f"maxpool expects 4-D input, got {x.shape}")
         _, ho, wo = self.out_shape(x.shape[1:])
-        return x, tap_views(x, self.k, self.k, self.stride, ho, wo)
+        return tap_views(x, self.k, self.k, self.stride, ho, wo)
 
     @staticmethod
     def _running_max(taps):
@@ -236,10 +232,10 @@ class MaxPool2d(Layer):
         return out
 
     def forward(self, x):
-        return self._running_max(self._taps(x)[1])
+        return self._running_max(self._taps(x))
 
     def forward_cache(self, x):
-        x, taps = self._taps(x)
+        taps = self._taps(x)
         out = self._running_max(taps)
         # last tap first, so each cell ends at the first tap equal to its
         # maximum, as with argmax
@@ -280,7 +276,6 @@ class AdaptiveAvgPool1x1(Layer):
         return adaptive_avg_pool_1x1(x)
 
     def forward_cache(self, x):
-        x = as_tensor(x, "input")
         return adaptive_avg_pool_1x1(x), x.shape
 
     def backward(self, grad, cache):
@@ -300,11 +295,9 @@ class Flatten(Layer):
         self.name = name
 
     def forward(self, x):
-        x = as_tensor(x, "input")
         return x.reshape(x.shape[0], -1)
 
     def forward_cache(self, x):
-        x = as_tensor(x, "input")
         return x.reshape(x.shape[0], -1), x.shape
 
     def backward(self, grad, cache):
@@ -321,7 +314,6 @@ class Softmax(Layer):
         self.name = name
 
     def forward(self, x):
-        x = as_tensor(x, "input")
         if x.ndim != 2:
             raise DimensionError(f"softmax expects 2-D logits, got {x.shape}")
         z = x - x.max(axis=1, keepdims=True)
@@ -361,8 +353,3 @@ LAYER_KINDS = {
     for cls in (Linear, Conv2d, ReLU, MaxPool2d, AdaptiveAvgPool1x1, Flatten, Softmax, Resize)
 }
 TRAINABLE_KINDS = tuple(kind for kind, cls in LAYER_KINDS.items() if cls.weight_ndim)
-
-
-def softmax_probs(logits):
-    """Row-stochastic softmax of a 2-D logit array."""
-    return Softmax().forward(logits)

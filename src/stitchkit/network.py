@@ -135,7 +135,7 @@ def forward(model, batch):
     x = as_tensor(batch, "batch")
     for i, layer in enumerate(_chain(model)):
         x = _run(layer, x, i)
-    return x
+    return as_tensor(x, f"output of model '{getattr(model, 'id', '')}'")
 
 
 def forward_upto(network, layer_index, batch):
@@ -152,7 +152,7 @@ def forward_taps(network, layer_indices, batch):
     """forward_upto at every index in layer_indices, from one pass.
 
     Returns {index: activation}; each activation is bit-identical to
-    forward_upto(network, index, batch).
+    forward_upto(network, index, batch) and checked as it is returned.
     """
     stops = set(layer_indices)
     for index in stops:
@@ -166,7 +166,7 @@ def forward_taps(network, layer_indices, batch):
     for i, layer in enumerate(network.layers[: max(stops, default=0)]):
         x = _run(layer, x, i)
         if i + 1 in stops:
-            taps[i + 1] = x
+            taps[i + 1] = as_tensor(x, f"model '{network.id}' activation at layer {i + 1}")
     return taps
 
 
@@ -207,7 +207,7 @@ class PrefixTree:
     """
 
     def __init__(self, models):
-        self.n_models = len(models)
+        self.ids = [getattr(model, "id", "") for model in models]
         self.root = _Node(0, [])
         for j, model in enumerate(models):
             node = self.root
@@ -234,14 +234,14 @@ class PrefixTree:
         Depth-first: an activation is held only at a branch point, by the
         children still to run; the last child's first layer releases it.
         """
-        outs = [None] * self.n_models
+        outs = [None] * len(self.ids)
         pending = [(self.root, as_tensor(batch, "batch"))]
         while pending:
             node, x = pending.pop()
             for i, layer in enumerate(node.layers, start=node.depth):
                 x = _run(layer, x, i)
             for j in node.ends:
-                outs[j] = x
+                outs[j] = as_tensor(x, f"output of model '{self.ids[j]}'")
             pending.extend((child, x) for child in reversed(node.children))
             del x
         return outs

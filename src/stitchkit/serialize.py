@@ -18,13 +18,14 @@ only its class declaration:
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, ParseError
 from .layers import LAYER_KINDS
-from .network import Fragment, FragmentPool, Network, fragmentize
+from .network import Fragment, FragmentPool, Network, _validate_chain, fragmentize
 from .stitching import ProvenanceEntry, StitchNet
 
 NETWORK_MAGIC = "SNET"
@@ -119,6 +120,8 @@ def _parse_layer(toks, r, start):
     ints = [r.intval(a, f"layer {name}", start) for a in args]
     if n and min(ints[:n]) < 1:
         r.fail(f"layer {name}: weight shape {tuple(ints[:n])} must be at least 1 in every axis", start)
+    if n and math.prod(ints[:n]) + ints[0] > (len(r.data) - r.pos) // 8:
+        r.fail(f"layer {name}: weight shape {tuple(ints[:n])} needs more floats than the file holds", start)
     try:
         if n:
             return cls(np.zeros(ints[:n]), np.zeros(ints[0]), *ints[n:], name=name)
@@ -252,7 +255,8 @@ def _load_stitchnet(r, model_id, input_shape, class_labels):
             class_labels=class_labels,
             id=model_id,
         )
-    except ConfigError as e:
+        _validate_chain(sn.chain, sn.input_shape)
+    except (ConfigError, DimensionError) as e:
         r.fail(f"inconsistent stitched network: {e}")
     _read_blob(r, sn.chain)
     return sn
@@ -421,7 +425,10 @@ def load_pool_manifest(path):
         net_path = Path(toks[1])
         if not net_path.is_absolute():
             net_path = path.parent / net_path
-        net = load_network(net_path)
+        try:
+            net = load_network(net_path)
+        except (OSError, ParseError) as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
         if isinstance(net, StitchNet):
             raise ParseError(f"{path}:{lineno}: stitched nets cannot join a pool")
         nets.append(net)

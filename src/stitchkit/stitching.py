@@ -71,7 +71,6 @@ def chain_operand(x_raw, kind, native_shape):
     Depends on the candidate only through the joint kind and, for conv
     joints, the native spatial size the chain output is resized to.
     """
-    x_raw = as_tensor(x_raw, "x")
     if kind == JOINT_CONV:
         x_raw = resize_spatial(x_raw, native_shape[2], native_shape[3])
     elif kind == JOINT_CONV_LINEAR:
@@ -81,7 +80,7 @@ def chain_operand(x_raw, kind, native_shape):
 
 def native_operand(y_raw, kind):
     """The fragment side of a joint (its native input) as features-by-samples."""
-    return _features_by_samples(as_tensor(y_raw, "y"), kind)
+    return _features_by_samples(y_raw, kind)
 
 
 def prepare_joint(x_raw, y_raw, kind):

@@ -4,6 +4,14 @@ Everything operates on C-contiguous float64 ndarrays and is pure: identical
 inputs give bit-identical outputs, and no function mutates its arguments.
 Analysis matrices follow the features-by-samples orientation; batched
 activations are samples-first and get transposed at the analysis boundary.
+
+Data is checked by as_tensor (float64, C-contiguous, finite) once where it
+enters: in the loaders and Dataset, at the batch of network.forward,
+forward_taps and PrefixTree.forward, and in the arguments of
+solve_projection, prepare_joint, stitch, fuse_*, cka_side, cka_linear and
+apply_label_map. Results are checked once as they leave a forward loop.
+Everything else, the layer forwards among them, takes float64 ndarrays
+unchecked.
 """
 
 import numpy as np
@@ -19,7 +27,7 @@ def as_tensor(x, name="tensor"):
     """Coerce to a C-contiguous float64 array, rejecting NaN/Inf."""
     arr = np.ascontiguousarray(x, dtype=np.float64)
     if not np.isfinite(arr).all():
-        raise NumericError(f"{name} contains non-finite values")
+        raise NumericError(f"non-finite values in {name}")
     return arr
 
 
@@ -91,7 +99,6 @@ def col2im(cols, x_shape, kh, kw, stride, padding):
 
 def adaptive_avg_pool_1x1(x):
     """Mean over each HxW spatial plane: [N,C,H,W] -> [N,C,1,1]."""
-    x = as_tensor(x, "input")
     if x.ndim != 4:
         raise DimensionError(f"adaptive_avg_pool_1x1 expects 4-D input, got {x.shape}")
     return x.mean(axis=(2, 3), keepdims=True)
@@ -128,7 +135,6 @@ def resize_spatial(x, target_h, target_w):
     nearest neighbors, same-size is the identity. Axes are independent,
     so mixed up/down targets work.
     """
-    x = as_tensor(x, "input")
     if x.ndim != 4:
         raise DimensionError(f"resize_spatial expects 4-D input, got {x.shape}")
     if target_h < 1 or target_w < 1:

@@ -10,7 +10,7 @@ import pytest
 
 from stitchkit import cli
 from stitchkit.cli import build_parser, main
-from stitchkit.layers import Conv2d, Flatten
+from stitchkit.layers import Conv2d, Flatten, Linear, Softmax
 from stitchkit.network import Network
 from stitchkit.serialize import load_dataset, load_network, save_network
 
@@ -245,6 +245,24 @@ class TestBadInputExitTwo:
         assert rc == 2
         assert f"byte offset {data.index(b'layer conv2d')}" in capsys.readouterr().err
 
+    def test_huge_layer_dimension(self, tmp_path, data_dir, capsys):
+        net = Network([Flatten("f"), Linear(np.ones((2, 256)), np.zeros(2), "fc")], (1, 16, 16), [], "n")
+        data = save_network(net, tmp_path / "n.snet").read_bytes()
+        (tmp_path / "bad.snet").write_bytes(data.replace(b"fc 2 256", b"fc 2 1000000000"))
+        rc = run_cli(
+            "evaluate", "--models", str(tmp_path / "bad.snet"),
+            "--data", str(data_dir / "test.sdat"), "--out", str(tmp_path / "e.csv"),
+        )
+        assert rc == 2
+        assert f"byte offset {data.index(b'layer linear')}" in capsys.readouterr().err
+
+    def test_manifest_listing_a_missing_net(self, tmp_path, capsys):
+        manifest = tmp_path / "pool.manifest"
+        manifest.write_bytes(b"SPOOL 1\nnet ghost.snet\n")
+        rc = run_cli("generate", "--pool", str(manifest), "--out", str(tmp_path / "g"))
+        assert rc == 2
+        assert "pool.manifest:2:" in capsys.readouterr().err
+
     def test_non_ascii_manifest(self, tmp_path, capsys):
         manifest = tmp_path / "pool.manifest"
         manifest.write_bytes("SPOOL 1\nnet café.snet\n".encode("utf-8"))
@@ -264,6 +282,7 @@ class TestBadInputExitTwo:
 
 
 class TestNumericFailure:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergent_training_exit_three(self, tmp_path, data_dir, capsys):
         with np.errstate(over="ignore"):
             rc = run_cli(
@@ -272,6 +291,27 @@ class TestNumericFailure:
             )
         assert rc == 3
         assert "diverged" in capsys.readouterr().err
+
+    def test_overflowing_net_exit_three(self, tmp_path, data_dir, capsys):
+        net = Network(
+            [
+                Flatten("f"),
+                Linear(np.full((8, 256), 1e200), np.zeros(8), "fc1"),
+                Linear(np.full((8, 8), 1e200), np.zeros(8), "fc2"),
+                Softmax("sm"),
+            ],
+            (1, 16, 16),
+            [],
+            "boom",
+        )
+        save_network(net, tmp_path / "boom.snet")
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = run_cli(
+                "evaluate", "--models", str(tmp_path / "boom.snet"),
+                "--data", str(data_dir / "test.sdat"), "--out", str(tmp_path / "e.csv"),
+            )
+        assert rc == 3
+        assert "output of model 'boom'" in capsys.readouterr().err
 
 
 class TestUsageErrors:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stitchkit.errors import ConfigError, DimensionError
+from stitchkit.errors import ConfigError, DimensionError, NumericError
 from stitchkit.layers import (
     AdaptiveAvgPool1x1,
     Conv2d,
@@ -15,8 +15,10 @@ from stitchkit.layers import (
 )
 from stitchkit.network import (
     Network,
+    PrefixTree,
     build_pool,
     forward,
+    forward_taps,
     forward_upto,
     fragmentize,
     models_equal,
@@ -87,6 +89,54 @@ class TestForward:
         net = toy_net(6)
         out = forward(net, np.zeros((2, 1, 8, 8)))
         assert out.shape == (2,) + net.output_shape
+
+
+def overflow_net():
+    """A net whose second linear layer overflows to inf on positive inputs."""
+    layers = [
+        Linear(np.full((4, 3), 1e200), np.zeros(4), "fc1"),
+        ReLU("r1"),
+        Linear(np.full((2, 4), 1e200), np.zeros(2), "fc2"),
+        Softmax("sm"),
+    ]
+    return Network(layers, (3,), ["a", "b"], "boom")
+
+
+FORWARD_LOOPS = {
+    "forward": forward,
+    "forward_taps": lambda net, x: forward_taps(net, [3], x),
+    "prefix_tree": lambda net, x: PrefixTree([net]).forward(x),
+}
+
+
+class TestCheckedAtTheBoundary:
+    def test_forward_checks_only_entry_and_exit(self, zoo, dataset8, monkeypatch):
+        net = next(n for n in zoo if n.id == "cnn_b")
+        batch = dataset8.test.images[:8]
+        calls = []
+        isfinite = np.isfinite
+
+        def counting(x):
+            calls.append(x.shape)
+            return isfinite(x)
+
+        monkeypatch.setattr(np, "isfinite", counting)
+        forward(net, batch)
+        assert len(net.layers) > 2
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("loop", FORWARD_LOOPS)
+    def test_overflow_inside_names_the_model(self, loop):
+        x = np.ones((5, 3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="'boom'"):
+            FORWARD_LOOPS[loop](overflow_net(), x)
+
+    @pytest.mark.parametrize("loop", FORWARD_LOOPS)
+    def test_nan_batch_rejected_at_entry(self, loop):
+        x = np.ones((5, 3))
+        x[2, 1] = np.nan
+        with pytest.raises(NumericError, match="non-finite values in batch"):
+            FORWARD_LOOPS[loop](overflow_net(), x)
 
 
 class TestForwardUpto:

@@ -17,7 +17,15 @@ from stitchkit.layers import (
     Resize,
     Softmax,
 )
-from stitchkit.network import Network, _layer_key, build_pool, forward, models_equal
+from stitchkit.network import (
+    Network,
+    _layer_key,
+    build_pool,
+    forward,
+    forward_upto,
+    fragmentize,
+    models_equal,
+)
 from stitchkit.serialize import (
     load_dataset,
     load_network,
@@ -26,7 +34,7 @@ from stitchkit.serialize import (
     save_network,
     save_pool_manifest,
 )
-from stitchkit.stitching import StitchNet
+from stitchkit.stitching import StitchNet, start_stitchnet, stitch
 
 
 def sample_net(seed=0):
@@ -42,6 +50,24 @@ def sample_net(seed=0):
         Softmax("sm"),
     ]
     return Network(layers, (1, 8, 8), ["a", "b", "c"], f"sample{seed}")
+
+
+def two_fragment_stitchnet():
+    """A linear-to-linear stitched net on 4 input features."""
+    rng = np.random.default_rng(40)
+    nets = []
+    for tag in "ab":
+        layers = [
+            Linear(rng.normal(size=(6, 4)), rng.normal(size=6), f"{tag}1"),
+            ReLU(f"r{tag}"),
+            Linear(rng.normal(size=(3, 6)), rng.normal(size=3), f"{tag}2"),
+            Softmax(f"s{tag}"),
+        ]
+        nets.append(Network(layers, (4,), ["x", "y", "z"], f"mlp_{tag}"))
+    batch = rng.normal(size=(20, 4))
+    q = start_stitchnet(fragmentize(nets[0])[0], nets[0])
+    tail = fragmentize(nets[1])[1]
+    return stitch(q, tail, forward(q, batch), forward_upto(nets[1], tail.start_layer, batch))
 
 
 class TestNetworkRoundTrip:
@@ -167,6 +193,36 @@ class TestMalformedFiles:
         bad = data.replace(b"input_shape 1 8 8", shape)
         (tmp_path / "bad.snet").write_bytes(bad)
         with pytest.raises(ParseError, match="inconsistent network") as err:
+            load_network(tmp_path / "bad.snet")
+        assert err.value.offset == bad.index(b"blob ")
+
+    @pytest.mark.parametrize("width", [b"1000000000", b"99999999999999999999"])
+    def test_huge_layer_dimension_rejected_before_allocating(self, tmp_path, width):
+        data = save_network(sample_net(14), tmp_path / "n.snet").read_bytes()
+        old = b"layer linear fc1 5 64"
+        (tmp_path / "bad.snet").write_bytes(data.replace(old, b"layer linear fc1 5 " + width))
+        with pytest.raises(ParseError, match="needs more floats than the file holds") as err:
+            load_network(tmp_path / "bad.snet")
+        assert err.value.offset == data.index(old)
+
+    def test_stitchnet_input_shape_that_does_not_fit_is_parse_error(self, tmp_path):
+        data = save_network(two_fragment_stitchnet(), tmp_path / "s.snet").read_bytes()
+        bad = data.replace(b"input_shape 4\n", b"input_shape 5\n")
+        assert bad != data
+        (tmp_path / "bad.snet").write_bytes(bad)
+        with pytest.raises(ParseError, match="inconsistent stitched network: layer 0 'a1'") as err:
+            load_network(tmp_path / "bad.snet")
+        assert err.value.offset == bad.index(b"blob ")
+
+    def test_stitchnet_layer_line_that_does_not_fit_is_parse_error(self, tmp_path, genresult):
+        sn = next(sn for sn, _ in genresult.entries if any(l.kind == "maxpool2d" for l in sn.chain))
+        pool = next(l for l in sn.chain if l.kind == "maxpool2d")
+        data = save_network(sn, tmp_path / "s.snet").read_bytes()
+        old = f"layer maxpool2d {pool.name} {pool.k} {pool.stride}\n".encode()
+        bad = data.replace(old, f"layer maxpool2d {pool.name} 99 {pool.stride}\n".encode(), 1)
+        assert bad != data  # same blob size, a pool window larger than its input
+        (tmp_path / "bad.snet").write_bytes(bad)
+        with pytest.raises(ParseError, match="inconsistent stitched network: .*collapses") as err:
             load_network(tmp_path / "bad.snet")
         assert err.value.offset == bad.index(b"blob ")
 
@@ -298,7 +354,14 @@ class TestPoolManifest:
 
     def test_missing_network_file(self, tmp_path):
         manifest = save_pool_manifest(["ghost.snet"], tmp_path / "pool.manifest")
-        with pytest.raises((ParseError, FileNotFoundError)):
+        with pytest.raises(ParseError, match=r"pool\.manifest:2: .*ghost\.snet"):
+            load_pool_manifest(manifest)
+
+    def test_bad_network_file_names_the_manifest_line(self, tmp_path):
+        save_network(sample_net(23), tmp_path / "good.snet")
+        (tmp_path / "bad.snet").write_bytes(b"NOPE 1\n")
+        manifest = save_pool_manifest(["good.snet", "bad.snet"], tmp_path / "pool.manifest")
+        with pytest.raises(ParseError, match=r"pool\.manifest:3: .*bad\.snet: not a network file"):
             load_pool_manifest(manifest)
 
 

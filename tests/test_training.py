@@ -89,6 +89,7 @@ class TestTrainNetwork:
         with pytest.raises(ConfigError):
             train_network(bad_arch, ds, epochs=1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_reports_epoch(self):
         from stitchkit.errors import NumericError
 
